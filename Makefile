@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-smoke hedge-smoke clean
+.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-quick bench-diff hedge-smoke clean
 
 all: check
 
@@ -74,10 +74,17 @@ explore-smoke:
 trace-smoke:
 	$(GO) run -race ./cmd/depfast-bench -exp trace -quick
 
-# Raft throughput/latency matrix (conc x value-size) at CI scale,
-# emitted to BENCH_raft.json for artifact upload.
-bench-smoke:
-	$(GO) run ./cmd/depfast-bench -exp raftbench -quick -out BENCH_raft.json
+# The repository's benchmark (benchmark/README.md) as a smoke run: every
+# workload with 2 s windows, correctness checks on, non-zero exit on any
+# failed operation. Not a measurement.
+bench-quick:
+	$(GO) run ./benchmark -quick
+
+# Ten seeds per workload against the committed ten-seed baseline: PASS /
+# REGRESSION / UNRESOLVED per workload x metric under BENCHMARK.json's
+# bounds, non-zero exit on any regression (about 40 minutes).
+bench-diff:
+	$(GO) run ./benchmark -aa 10 -out /tmp/bench.json && $(GO) run ./benchmark -compare benchmark/baseline/aa.json /tmp/bench.json
 
 # Request-hedging smoke: a sub-detection-threshold fail-slow episode,
 # speculation off vs on, gated on read-tail gain >= 2x, a linearizable

@@ -343,30 +343,34 @@ func awaitLeader(b *testing.B, servers map[string]*raft.Server) string {
 	return ""
 }
 
-// BenchmarkAblationBatching contrasts per-request replication (the
-// paper's DepFastRaft pattern) against batched commits at a high
-// client count — the throughput/latency trade the batching option
-// buys.
+// BenchmarkAblationBatching contrasts one entry per AppendEntries
+// (RepairBatch = 1, the per-request wire pattern) against the default
+// group commit at a client count well past the 16-batch commit gate —
+// what sharing an append, a fan-out and a quorum buys once the gate is
+// closed. There is no batching switch: the batch cap is the only lever.
 func BenchmarkAblationBatching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, batching := range []bool{false, true} {
-			batching := batching
+		for _, c := range []struct {
+			name string
+			cap  int // 0 keeps the default RepairBatch
+		}{{"one-entry-per-msg-op/s", 1}, {"group-commit-op/s", 0}} {
+			c := c
 			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
 			cfg.Duration = 1500 * time.Millisecond
 			cfg.Warmup = 500 * time.Millisecond
 			cfg.Clients = 64
-			cfg.RaftMutate = func(rc *raft.Config) { rc.BatchProposals = batching }
+			cfg.RaftMutate = func(rc *raft.Config) {
+				if c.cap > 0 {
+					rc.RepairBatch = c.cap
+				}
+			}
 			res, err := harness.RunStable(cfg, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.Logf("batching=%v: %s", batching, res)
-				name := "per-request-op/s"
-				if batching {
-					name = "batched-op/s"
-				}
-				b.ReportMetric(res.Throughput, name)
+				b.Logf("%s: %s", c.name, res)
+				b.ReportMetric(res.Throughput, c.name)
 			}
 		}
 	}

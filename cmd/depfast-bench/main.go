@@ -17,7 +17,6 @@
 //	depfast-bench -exp replace   # automated replacement of a condemned fail-slow node
 //	depfast-bench -exp trace     # causal tracing: attribution accuracy + overhead gates
 //	depfast-bench -exp hedge     # request hedging under a sub-threshold episode -> BENCH_hedge.json
-//	depfast-bench -exp raftbench # concurrency × value-size matrix -> BENCH_raft.json
 //
 // One-off custom runs:
 //
@@ -48,8 +47,8 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|figure1|figure2|figure3|verify|transient|sweep|intensity|mitigation|shard|replace|trace|hedge|raftbench|run|all")
-		benchOut = flag.String("out", "BENCH_raft.json", "raftbench/hedge: write the result JSON to this file")
+		exp      = flag.String("exp", "all", "experiment: table1|figure1|figure2|figure3|verify|transient|sweep|intensity|mitigation|shard|replace|trace|hedge|run|all")
+		benchOut = flag.String("out", "BENCH_hedge.json", "hedge: write the result JSON to this file")
 		duration = flag.Duration("duration", 3*time.Second, "measurement window per cell")
 		warmup   = flag.Duration("warmup", 750*time.Millisecond, "warmup before measuring")
 		clients  = flag.Int("clients", 24, "closed-loop client population")
@@ -288,50 +287,6 @@ func main() {
 			"       wasted rate <= budget, server plane silent — all hold\n"+
 			"hedge results written to %s\n\n", *benchOut)
 	}
-	runRaftBench := func() {
-		fmt.Println("== DepFastRaft healthy throughput/latency matrix ==")
-		type cell struct {
-			Conc   int     `json:"conc"`
-			Bytes  int     `json:"bytes"`
-			Tput   float64 `json:"tput"`
-			P50us  float64 `json:"p50_us"`
-			P99us  float64 `json:"p99_us"`
-			Errors int64   `json:"errors"`
-		}
-		dur, warm := *duration, *warmup
-		if *quick {
-			dur, warm = 1*time.Second, 300*time.Millisecond
-		}
-		var cells []cell
-		for _, conc := range []int{8, 32} {
-			for _, bytes := range []int{16, 256} {
-				cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-				cfg.Clients = conc
-				cfg.Records = *records
-				cfg.ValueSize = bytes
-				cfg.Duration = dur
-				cfg.Warmup = warm
-				wl := ycsb.PaperWrite(*records, bytes)
-				cfg.Workload = &wl
-				res, err := harness.Run(cfg)
-				exitOn(err)
-				fmt.Printf("  conc=%-3d bytes=%-4d tput=%8.0f op/s  p50=%8v  p99=%8v\n",
-					conc, bytes, res.Throughput,
-					res.P50.Round(10*time.Microsecond), res.P99.Round(10*time.Microsecond))
-				cells = append(cells, cell{
-					Conc: conc, Bytes: bytes, Tput: res.Throughput,
-					P50us: res.P50.Seconds() * 1e6, P99us: res.P99.Seconds() * 1e6,
-					Errors: res.Errors,
-				})
-			}
-		}
-		out := map[string]any{"name": "raft", "cells": cells}
-		b, err := json.MarshalIndent(out, "", "  ")
-		exitOn(err)
-		exitOn(os.WriteFile(*benchOut, append(b, '\n'), 0o644))
-		fmt.Printf("bench matrix written to %s\n\n", *benchOut)
-	}
-
 	runCustom := func() {
 		sys, err := systemByName(*system)
 		exitOn(err)
@@ -388,8 +343,6 @@ func main() {
 		runTrace()
 	case "hedge":
 		runHedge()
-	case "raftbench":
-		runRaftBench()
 	case "all":
 		runTable1()
 		runFigure1()

@@ -49,6 +49,20 @@ func NewMajorityEvent(total int) *QuorumEvent {
 	return NewQuorumEvent(total, total/2+1)
 }
 
+// Reshape re-declares the k-of-n shape of a quorum that coroutines
+// joined before its fan-out was known (a group-commit batch collecting
+// members while its flow-control gate is closed). Only valid while
+// nothing has been added or tallied.
+func (q *QuorumEvent) Reshape(total, quorum int) {
+	if quorum < 1 || quorum > total {
+		panic("core: quorum must be in [1, total]")
+	}
+	if q.added > 0 || q.acks > 0 || q.rejects > 0 {
+		panic("core: Reshape after a sub-event or tally was added")
+	}
+	q.total, q.quorum = total, quorum
+}
+
 // Add registers a sub-event whose completion counts as an ack.
 func (q *QuorumEvent) Add(child Event) {
 	q.addChild(child, nil)

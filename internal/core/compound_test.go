@@ -395,3 +395,70 @@ func TestAndAddAlreadyReadyChild(t *testing.T) {
 		t.Fatal("hung")
 	}
 }
+
+// Several coroutines may wait on one QuorumEvent that they joined
+// before its fan-out was known: the shape is declared late, every
+// waiter wakes in the turn the quorum is met, in the order they began
+// waiting, and the wait is traced with the shape and peers it finally
+// had.
+func TestQuorumSharedWaitReshapedAtFanOut(t *testing.T) {
+	var records []WaitRecord // written under the baton, read after Stop
+	rt := NewRuntime("qs", WithTracer(tracerFunc(func(r WaitRecord) { records = append(records, r) })))
+	defer rt.Stop()
+	const waiters = 3
+	woke := make(chan int, waiters)
+	rt.Spawn("opener", func(co *Coroutine) {
+		q := NewQuorumEvent(1, 1) // placeholder shape: nothing added yet
+		for i := 0; i < waiters; i++ {
+			i := i
+			rt.spawnLocked("member", func(mc *Coroutine) {
+				if mc.WaitQuorum(q, 5*time.Second) == QuorumOK {
+					woke <- i
+				}
+			})
+		}
+		_ = co.Sleep(2 * time.Millisecond) // the members are parked
+		q.Reshape(3, 2)
+		evs := []*ResultEvent{NewResultEvent("disk"), NewResultEvent("rpc", "s2"), NewResultEvent("rpc", "s3")}
+		for _, ev := range evs {
+			q.AddJudged(ev, nil)
+		}
+		evs[0].Fire(nil, nil)
+		evs[1].Fire(nil, nil) // s3 never answers
+	})
+	for want := 0; want < waiters; want++ {
+		select {
+		case got := <-woke:
+			if got != want {
+				t.Fatalf("waiter %d woke in position %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a member of the shared wait never woke")
+		}
+	}
+	rt.Stop()
+	n := 0
+	for _, r := range records {
+		if r.CoroutineName != "member" {
+			continue
+		}
+		n++
+		if r.Event.Kind != "quorum" || r.Event.Quorum != 2 || r.Event.Total != 3 || len(r.Event.Peers) != 2 {
+			t.Errorf("member wait traced as %+v, want a 2-of-3 quorum over 2 peers", r.Event)
+		}
+	}
+	if n != waiters {
+		t.Errorf("%d member waits traced, want %d", n, waiters)
+	}
+}
+
+func TestQuorumReshapeAfterAddPanics(t *testing.T) {
+	q := NewQuorumEvent(3, 2)
+	q.AddAck()
+	defer func() {
+		if recover() == nil {
+			t.Error("Reshape after a tally did not panic")
+		}
+	}()
+	q.Reshape(5, 3)
+}

@@ -106,10 +106,12 @@ func (co *Coroutine) WaitFor(ev Event, timeout time.Duration) WaitResult {
 	return co.waitForDesc(ev, timeout, nil)
 }
 
-// waitForDesc is WaitFor with an optional trace-description override,
+// waitForDesc is WaitFor with an optional trace-description source,
 // so wrapper events (e.g. the Or over a quorum and its reject view)
-// are recorded as the wait they represent.
-func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc *EventDesc) WaitResult {
+// are recorded as the wait they represent. The description is read when
+// the wait ends: a quorum joined before its fan-out (see Reshape) is
+// recorded with the shape and peers it finally had.
+func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc Event) WaitResult {
 	start := time.Now()
 	deadline := start.Add(timeout)
 	armed := false
@@ -186,20 +188,19 @@ func (co *Coroutine) trace(ev Event, start time.Time, timedOut bool) {
 	co.traceDesc(ev, nil, start, timedOut)
 }
 
-// traceDesc is trace with an optional description override.
-func (co *Coroutine) traceDesc(ev Event, desc *EventDesc, start time.Time, timedOut bool) {
+// traceDesc is trace with an optional description source.
+func (co *Coroutine) traceDesc(ev Event, desc Event, start time.Time, timedOut bool) {
 	if co.rt.tracer == nil {
 		return
 	}
-	d := ev.Desc()
 	if desc != nil {
-		d = *desc
+		ev = desc
 	}
 	co.rt.tracer.Record(WaitRecord{
 		Node:          co.rt.name,
 		CoroutineID:   co.id,
 		CoroutineName: co.name,
-		Event:         d,
+		Event:         ev.Desc(),
 		Start:         start,
 		End:           time.Now(),
 		TimedOut:      timedOut,
@@ -262,9 +263,7 @@ func (co *Coroutine) Select(timeout time.Duration, evs ...Event) (int, WaitResul
 // This is the canonical fail-slow-tolerant wait: the coroutine never
 // blocks on any single sub-event.
 func (co *Coroutine) WaitQuorum(q *QuorumEvent, timeout time.Duration) QuorumOutcome {
-	either := NewOrEvent(q, q.RejectEvent())
-	qd := q.Desc()
-	res := co.waitForDesc(either, timeout, &qd)
+	res := co.waitForDesc(NewOrEvent(q, q.RejectEvent()), timeout, q)
 	switch res {
 	case WaitStopped:
 		return QuorumStopped

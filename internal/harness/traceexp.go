@@ -123,8 +123,6 @@ func RunTraceExperiment(cfg TraceExpConfig) (TraceExpResult, error) {
 		Seed:           cfg.Seed,
 		Recorder:       rec,
 		XTracer:        col,
-		// One request, one propose, one stall span: batching would pool
-		// the backpressure wait into a shared queue and smear the blame.
 		// A tight dirty-append bound makes the leader's slow disk stall
 		// the write path promptly instead of hiding behind 64 entries of
 		// slack — the scripted fault should dominate every slow request.
@@ -134,7 +132,6 @@ func RunTraceExperiment(cfg TraceExpConfig) (TraceExpResult, error) {
 		// client's backoff owns; keeping delivery in-order leaves the
 		// disk stall as each slow request's own dominant wait.
 		RaftMutate: func(rc *raft.Config) {
-			rc.BatchProposals = false
 			rc.MaxDirtyAppends = 4
 			rc.QuorumDiscard = false
 			// A 16-message send window rejects fan-out instantly during a

@@ -70,12 +70,13 @@ const (
 	// LeaderElected marks a node winning an election; Fields["term"].
 	LeaderElected Type = "leader.elected"
 
-	// CommitSpan is one entry's commit-pipeline timing on the leader:
-	// Fields carry per-stage durations in microseconds — append_us
-	// (propose → local fsync durable), replicate_us (propose → fan-out
-	// dispatched to every follower outbox), quorum_us (propose → quorum
-	// ack), apply_us (quorum ack → applied), total_us — plus index and
-	// count (batched entries share one span).
+	// CommitSpan is one commit batch's pipeline timing on the leader,
+	// measured from its oldest member's propose time: Fields carry
+	// per-stage durations in microseconds — append_us (propose → local
+	// fsync durable), replicate_us (propose → fan-out dispatched to every
+	// follower outbox), quorum_us (propose → quorum ack), apply_us
+	// (quorum ack → applied), total_us — plus index (the batch's last
+	// entry) and count (its entries).
 	CommitSpan Type = "commit.span"
 
 	// GaugeSample is a periodic bridge from metrics: Fields carry rate

@@ -8,12 +8,11 @@ import (
 
 	"depfast/internal/core"
 	"depfast/internal/failslow"
+	"depfast/internal/kv"
 )
 
 func TestBatchedPutGet(t *testing.T) {
-	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
-		cfg.BatchProposals = true
-	}})
+	c := newCluster(t, clusterOpts{n: 3})
 	c.waitLeader()
 	cl := c.client(900)
 	c.onClient(func(co *core.Coroutine) {
@@ -34,9 +33,7 @@ func TestBatchedPutGet(t *testing.T) {
 }
 
 func TestBatchedConcurrentClientsShareBatches(t *testing.T) {
-	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
-		cfg.BatchProposals = true
-	}})
+	c := newCluster(t, clusterOpts{n: 3})
 	leader := c.waitLeader()
 	const nClients = 12
 	const perClient = 15
@@ -74,9 +71,7 @@ func TestBatchedConcurrentClientsShareBatches(t *testing.T) {
 }
 
 func TestBatchedSurvivesSlowFollower(t *testing.T) {
-	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
-		cfg.BatchProposals = true
-	}})
+	c := newCluster(t, clusterOpts{n: 3})
 	leader := c.waitLeader()
 	var follower string
 	for _, n := range c.names {
@@ -105,9 +100,7 @@ func TestBatchedSurvivesSlowFollower(t *testing.T) {
 }
 
 func TestBatchedLeaderChangeFailsQueued(t *testing.T) {
-	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
-		cfg.BatchProposals = true
-	}})
+	c := newCluster(t, clusterOpts{n: 3})
 	old := c.waitLeader()
 	// Partition the leader and watch a write eventually succeed against
 	// the new leader (client retries with the same seq → exactly once).
@@ -126,6 +119,260 @@ func TestBatchedLeaderChangeFailsQueued(t *testing.T) {
 		v, found, err := cl.Get(co, "batch-failover")
 		if err != nil || !found || string(v) != "z" {
 			t.Errorf("get = %q %v %v", v, found, err)
+		}
+	})
+}
+
+// leaderWriters runs n coroutines on the leader's own runtime, each
+// putting per keys straight into its request handler — no client retry
+// loop that could hide a reject — and returns every response.
+func leaderWriters(srv *Server, base uint64, n, per int) []*kv.ClientResponse {
+	out := make(chan *kv.ClientResponse, n*per)
+	for w := 0; w < n; w++ {
+		id := base + uint64(w)
+		srv.rt.Spawn("writer", func(co *core.Coroutine) {
+			for i := 1; i <= per; i++ {
+				resp := srv.handleClientRequest(co, "test", &kv.ClientRequest{ClientID: id, Seq: uint64(i),
+					Cmd: kv.Command{Op: kv.OpPut, Key: fmt.Sprintf("w%d-%d", id, i), Value: []byte("v")}})
+				out <- resp.(*kv.ClientResponse)
+			}
+		})
+	}
+	resps := make([]*kv.ClientResponse, 0, n*per)
+	for len(resps) < n*per {
+		resps = append(resps, <-out)
+	}
+	return resps
+}
+
+// mustAllOK fails the test on any response that is not a plain success.
+func mustAllOK(t *testing.T, resps []*kv.ClientResponse) {
+	t.Helper()
+	bad := 0
+	for _, r := range resps {
+		if !r.OK || r.NotLeader {
+			if bad++; bad <= 3 {
+				t.Errorf("rejected write: %+v", r)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d writes rejected", bad, len(resps))
+	}
+}
+
+// followersOf returns every node but leader.
+func (c *cluster) followersOf(leader string) []string {
+	var out []string
+	for _, n := range c.names {
+		if n != leader {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// waitInStep blocks until every listed server has applied what the
+// leader has committed.
+func (c *cluster) waitInStep(leader string, nodes []string) {
+	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		want, _ := c.servers[leader].CommitInfo()
+		behind := ""
+		for _, n := range nodes {
+			if _, la := c.servers[n].CommitInfo(); la < want {
+				behind = fmt.Sprintf("%s applied %d of %d", n, la, want)
+			}
+		}
+		if behind == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatalf("followers out of step: %s", behind)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// The gate keeps a saturated leader out of its healthy followers'
+// outboxes: nothing queues there, so quorum-discard has nothing of
+// theirs to shed and both stay within a few batches of the tip while
+// the load runs.
+func TestCommitPipelineKeepsHealthyFollowersInStep(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, netBase: time.Millisecond})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	followers := c.followersOf(leader)
+
+	done := make(chan []*kv.ClientResponse, 1)
+	go func() { done <- leaderWriters(srv, 2000, 64, 40) }()
+
+	maxQueue, maxLag := 0, uint64(0)
+	sample := make(chan int, 1)
+	var resps []*kv.ClientResponse
+	for resps == nil {
+		select {
+		case resps = <-done:
+		case <-time.After(2 * time.Millisecond):
+			srv.rt.Post(func() {
+				n := 0
+				for _, p := range followers {
+					if l := srv.outboxes[p].QueueLen(); l > n {
+						n = l
+					}
+				}
+				sample <- n
+			})
+			if n := <-sample; n > maxQueue {
+				maxQueue = n
+			}
+			ci, _ := srv.CommitInfo()
+			for _, p := range followers {
+				if fc, _ := c.servers[p].CommitInfo(); ci > fc && ci-fc > maxLag {
+					maxLag = ci - fc
+				}
+			}
+		}
+	}
+	mustAllOK(t, resps)
+	t.Logf("max outbox queue %d, max lag %d", maxQueue, maxLag)
+	// The follower whose ack did not carry a quorum trails by the
+	// difference of the two round trips — a few batches, more when the
+	// host stalls it — but never by the window it would take for
+	// quorum-discard to reach its queue; without the gate the queue is
+	// writers minus window deep from the first burst on.
+	if limit := srv.cfg.OutboxWindow; maxQueue >= limit {
+		t.Errorf("a healthy follower's outbox queued %d messages under load, want < %d", maxQueue, limit)
+	}
+	if bound := uint64(srv.cfg.OutboxWindow * srv.cfg.RepairBatch); maxLag >= bound {
+		t.Errorf("a healthy follower lagged %d entries under load, want < %d", maxLag, bound)
+	}
+	for _, p := range followers {
+		if d := srv.Outbox(p).Discards.Value(); d != 0 {
+			t.Errorf("%d messages to healthy follower %s were discarded", d, p)
+		}
+	}
+	if srv.RepairSends.Value() != 0 {
+		t.Errorf("repair_sends = %d on a healthy group", srv.RepairSends.Value())
+	}
+}
+
+// A write-stall burst on a disk-slow leader surfaces as latency, never
+// as a reject: the stall is taken before a proposer joins its batch,
+// so every append reaches the wire in log order.
+func TestCommitWriteStallBurstHasNoRejects(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
+		cfg.MaxDirtyAppends = 2
+	}})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	failslow.Apply(c.envs[leader], failslow.DiskSlow, failslow.DefaultIntensity())
+
+	mustAllOK(t, leaderWriters(srv, 2100, 32, 10))
+	if srv.WALStalls.Value() == 0 {
+		t.Error("the burst never hit the write stall")
+	}
+	if term, role, _ := srv.Status(); role != Leader {
+		t.Errorf("leader %s lost leadership (term %d)", leader, term)
+	}
+	c.waitInStep(leader, c.followersOf(leader))
+}
+
+// The gate counts quorums, not per-peer acks: one follower at 50x disk
+// fills its own outbox and is discarded, while throughput stays where
+// the healthy group has it.
+func TestCommitGateIgnoresSlowFollower(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, netBase: time.Millisecond})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	slow := c.followersOf(leader)[0]
+
+	// The faster of two runs a side: a host stall lengthens a run, nothing
+	// shortens one.
+	run := func(base uint64) time.Duration {
+		best := time.Duration(0)
+		for i := uint64(0); i < 2; i++ {
+			start := time.Now()
+			mustAllOK(t, leaderWriters(srv, base+100*i, 32, 40))
+			if el := time.Since(start); best == 0 || el < best {
+				best = el
+			}
+		}
+		return best
+	}
+	healthy := run(2200)
+	in := failslow.DefaultIntensity()
+	in.DiskSlowFactor = 50
+	failslow.Apply(c.envs[slow], failslow.DiskSlow, in)
+	faulted := run(2400)
+	t.Logf("32 writers x 40 puts: healthy %v, one follower at 50x disk %v", healthy, faulted)
+	if faulted > healthy+healthy/10 {
+		t.Errorf("a slow follower cost %v against %v healthy: more than 10%%", faulted, healthy)
+	}
+}
+
+// A leader change resolves every member exactly once, whether its batch
+// was on the wire or still queued behind the gate, and gives every gate
+// slot back.
+func TestCommitLeaderChangeFailsQueuedAndInflight(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
+		cfg.OutboxWindow = 4
+		cfg.RepairBatch = 4
+	}})
+	old := c.waitLeader()
+	srv := c.servers[old]
+	for _, n := range c.followersOf(old) {
+		c.net.SetLinkDown(old, n, true)
+	}
+	// 4 batches of one go out and await a quorum that cannot form; the
+	// other 16 writers queue behind the gate in batches of up to 4.
+	const writers = 20
+	done := make(chan []*kv.ClientResponse, 1)
+	go func() { done <- leaderWriters(srv, 2500, writers, 1) }()
+	gate := make(chan [2]int, 1)
+	gateState := func() [2]int {
+		srv.rt.Post(func() {
+			queued := 0
+			for _, b := range srv.pending {
+				queued += len(b.members)
+			}
+			gate <- [2]int{srv.awaiting, queued}
+		})
+		return <-gate
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gateState() != [2]int{4, writers - 4} {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate state (awaiting, queued) = %v, want [4 %d]", gateState(), writers-4)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The majority elects a successor; healing the links deposes old.
+	delete(c.servers, old)
+	next := c.waitLeader()
+	c.servers[old] = srv
+	for _, n := range c.followersOf(old) {
+		c.net.SetLinkDown(old, n, false)
+	}
+	var resps []*kv.ClientResponse
+	select {
+	case resps = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("members of a deposed leader's batches never resolved")
+	}
+	for _, r := range resps {
+		if r.OK {
+			t.Errorf("a write the old leader could not replicate succeeded: %+v", r)
+		}
+	}
+	if g := gateState(); g != [2]int{0, 0} {
+		t.Errorf("gate state (awaiting, queued) after the leader change = %v, want [0 0]", g)
+	}
+	cl := c.client(2599)
+	c.onClient(func(co *core.Coroutine) {
+		if err := cl.Put(co, "after-change", []byte("z")); err != nil {
+			t.Errorf("put against new leader %s: %v", next, err)
 		}
 	})
 }

@@ -186,16 +186,13 @@ func (s *Server) becomeLeader(co *core.Coroutine, term uint64) {
 	s.publish()
 
 	s.rt.Spawn("heartbeat", func(hc *core.Coroutine) { s.heartbeatLoop(hc, term) })
-	if s.cfg.BatchProposals {
-		s.rt.Spawn("committer", func(cc *core.Coroutine) { s.committerLoop(cc, term) })
-	}
 	for _, p := range s.others() {
 		s.spawnRepair(p, term)
 	}
 	// Commit a no-op barrier so entries from prior terms become
 	// committable (Raft §5.4.2).
 	s.rt.Spawn("noop-barrier", func(nc *core.Coroutine) {
-		_, _, _ = s.propose(nc, nil, xtrace.Context{})
+		_, _, _ = s.commit(nc, nil, nil, xtrace.Context{})
 	})
 }
 

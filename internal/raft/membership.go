@@ -20,7 +20,7 @@ import (
 	"depfast/internal/codec"
 	"depfast/internal/core"
 	"depfast/internal/obs"
-	"depfast/internal/storage"
+	"depfast/internal/xtrace"
 )
 
 // Membership message tags (Raft range 200–299).
@@ -380,8 +380,16 @@ func (s *Server) Members() ([]string, []string) {
 }
 
 // confChangePending reports whether a ConfChange entry is appended but
-// not yet committed — the one-in-flight safety rail.
+// not yet committed, or queued behind the commit gate — the
+// one-in-flight safety rail.
 func (s *Server) confChangePending() bool {
+	for _, b := range s.pending {
+		for _, m := range b.members {
+			if m.cc != nil {
+				return true
+			}
+		}
+	}
 	return len(s.confLog) > 0 && s.confLog[len(s.confLog)-1].index > s.commitIndex
 }
 
@@ -426,7 +434,7 @@ func (s *Server) validateConfChange(cc *ConfChange) error {
 // the config switches immediately (quorums for this entry already use
 // it), the record is kept for rollback, and peer plumbing (outboxes,
 // progress, repair coroutines) is synchronized. Runs on leaders (in
-// proposeConf) and followers (in handleAppendEntries) alike.
+// flush) and followers (in handleAppendEntries) alike.
 func (s *Server) adoptConfEntry(cc *ConfChange, idx uint64) {
 	prev := s.mem
 	s.mem = s.mem.apply(cc)
@@ -584,66 +592,12 @@ func (s *Server) applyConfChange(cc *ConfChange) {
 	}
 }
 
-// proposeConf appends and replicates one ConfChange in the same
-// DepFast pattern as propose, with effective-on-append semantics: the
-// new config governs this very entry's quorum. Returns the entry
-// index once committed.
+// proposeConf commits one ConfChange through the shared commit path
+// (which validates it at the moment it joins a batch) and returns the
+// entry index.
 func (s *Server) proposeConf(co *core.Coroutine, cc *ConfChange) (uint64, error) {
-	if s.role != Leader {
-		return 0, ErrNotLeader
-	}
-	if err := s.validateConfChange(cc); err != nil {
-		return 0, err
-	}
-	s.Proposals.Inc()
-	term := s.term
-	idx := s.wal.LastIndex() + 1
-	entry := []storage.Entry{{Index: idx, Term: term, Data: codec.Marshal(cc)}}
-	fsync, err := s.wal.Append(entry)
-	if err != nil {
-		return 0, err
-	}
-	s.cache.Put(entry[0])
-	s.persistAppend(entry)
-	s.adoptConfEntry(cc, idx)
-	s.stallDirtyWAL(co, fsync)
-	if s.role != Leader || s.term != term {
-		return 0, ErrDeposed
-	}
-
-	targets := s.broadcastTargets()
-	q := core.NewQuorumEvent(1+len(targets), s.majority())
-	q.AddJudged(fsync, nil)
-	prevTerm := s.termOf(idx - 1)
-	for _, p := range targets {
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: idx - 1,
-			PrevLogTerm:  prevTerm,
-			Entries:      entry,
-			LeaderCommit: s.commitIndex,
-		}
-		ev := core.NewResultEvent("rpc", p)
-		q.AddJudged(ev, s.appendJudge(p, idx, term))
-		s.outboxes[p].Send(ae, ev, int64(idx))
-	}
-	s.streamToLearners(entry, idx, term)
-
-	switch co.WaitQuorum(q, s.cfg.CommitTimeout) {
-	case core.QuorumOK:
-	case core.QuorumStopped:
-		return 0, ErrStopping
-	case core.QuorumRejected:
-		return 0, ErrDeposed
-	default:
-		return 0, ErrCommitTimeout
-	}
-	if s.role != Leader || s.term != term {
-		return 0, ErrDeposed
-	}
-	s.advanceCommit(idx)
-	return idx, nil
+	idx, _, err := s.commit(co, nil, cc, xtrace.Context{})
+	return idx, err
 }
 
 // handleMemberChange services an administrative membership change on
@@ -696,18 +650,13 @@ func (s *Server) handleMembershipQuery(co *core.Coroutine, from string, req code
 	return info
 }
 
-// streamToLearners forwards freshly appended entries to learners
-// outside any quorum: replies fold progress in via the append judge,
-// but no learner is ever waited on. Repair and snapshots cover the
-// bootstrap gap; streaming keeps a caught-up learner at the tip.
-func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64) {
-	learners := s.otherLearners()
-	if len(learners) == 0 {
-		return
-	}
-	prev := entries[0].Index - 1
-	prevTerm := s.termOf(prev)
-	for _, p := range learners {
+// streamToLearners forwards a freshly appended batch — payload is its
+// encoded AppendEntries, chaining onto prev — to learners outside any
+// quorum: replies fold progress in via the append judge, but no learner
+// is ever waited on. Repair and snapshots cover the bootstrap gap;
+// streaming keeps a caught-up learner at the tip.
+func (s *Server) streamToLearners(payload []byte, prev, lastIdx, term uint64) {
+	for _, p := range s.otherLearners() {
 		p := p
 		ob := s.outboxes[p]
 		if ob == nil {
@@ -722,14 +671,6 @@ func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64)
 		if s.learnerStream[p] != prev && s.matchIndex[p] != prev {
 			continue
 		}
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: prev,
-			PrevLogTerm:  prevTerm,
-			Entries:      entries,
-			LeaderCommit: s.commitIndex,
-		}
 		ev := core.NewResultEvent("rpc", p)
 		judge := s.appendJudge(p, lastIdx, term)
 		core.OnEvent(ev, func() {
@@ -739,7 +680,7 @@ func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64)
 				s.learnerStream[p] = 0
 			}
 		})
-		ob.Send(ae, ev, int64(lastIdx))
+		ob.SendPayload(payload, ev, int64(lastIdx))
 		s.learnerStream[p] = lastIdx
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"depfast/internal/core"
 	"depfast/internal/env"
+	"depfast/internal/failslow"
 	"depfast/internal/kv"
 	"depfast/internal/rpc"
 )
@@ -432,4 +433,53 @@ func TestSessionDedupSurvivesLearnerBootstrap(t *testing.T) {
 	if r := c.servers["s4"].Store().Apply(kv.Command{Op: kv.OpGet, Key: "dedup"}); !r.Found || string(r.Value) != "first" {
 		t.Errorf("dedup key state: %+v", r)
 	}
+}
+
+// A membership change takes the same commit path as the writes around
+// it. With one dirty append allowed and a disk-slow leader every
+// proposer stalls, and the ConfChange must still reach the wire in log
+// order: stalling between its append and its fan-out would let a
+// concurrent write put index n+1 on the wire before n, both followers
+// would reject the gap, and the write would fail as leadership lost.
+func TestMembershipChangeUnderWriteStallKeepsLogOrder(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, mutate: func(cfg *Config) {
+		cfg.MaxDirtyAppends = 1
+	}})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	followers := c.followersOf(leader)
+	addJoiner(c, "s4")
+	failslow.Apply(c.envs[leader], failslow.DiskSlow, failslow.DefaultIntensity())
+
+	writes := make(chan []*kv.ClientResponse, 1)
+	go func() { writes <- leaderWriters(srv, 3000, 16, 25) }()
+	kinds := []uint64{ConfAddLearner, ConfRemove, ConfAddLearner, ConfRemove}
+	changes := make(chan *MemberChangeReply, len(kinds))
+	srv.rt.Spawn("admin", func(co *core.Coroutine) {
+		for _, kind := range kinds {
+			if co.Sleep(30*time.Millisecond) != nil {
+				return
+			}
+			r := srv.handleMemberChange(co, "test", &MemberChange{Kind: kind, Node: "s4"})
+			changes <- r.(*MemberChangeReply)
+		}
+	})
+	for range kinds {
+		select {
+		case r := <-changes:
+			if !r.OK || r.Index == 0 {
+				t.Errorf("membership change under write stall: %+v", r)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("membership change hung")
+		}
+	}
+	mustAllOK(t, <-writes)
+	if srv.WALStalls.Value() == 0 {
+		t.Error("the writes never hit the write stall")
+	}
+	if _, role, _ := srv.Status(); role != Leader {
+		t.Errorf("%s lost leadership", leader)
+	}
+	c.waitInStep(leader, followers)
 }

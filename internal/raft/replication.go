@@ -7,7 +7,6 @@ import (
 	"depfast/internal/codec"
 	"depfast/internal/core"
 	"depfast/internal/kv"
-	"depfast/internal/obs"
 	"depfast/internal/storage"
 	"depfast/internal/xtrace"
 )
@@ -19,147 +18,6 @@ var (
 	ErrDeposed       = errors.New("raft: leadership lost during commit")
 	ErrStopping      = errors.New("raft: server stopping")
 )
-
-// propose appends data as a new log entry and replicates it in the
-// paper's DepFastRaft pattern: one QuorumEvent spanning the local
-// fsync and every follower's AppendEntries, a single quorum wait, and
-// quorum-aware backlog discard afterwards. Returns the entry index.
-// tc, when active, threads the client's causal trace through the
-// pipeline: every stage records a (node, resource) span under it.
-func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (uint64, kv.Result, error) {
-	if s.role != Leader {
-		return 0, kv.Result{}, ErrNotLeader
-	}
-	s.Proposals.Inc()
-	traced := s.trc != nil && tc.Active()
-	var rootID, quorumID uint64
-	if traced {
-		// Span ids are pre-allocated so children recorded as they
-		// complete (fsync hook, replication judges) can link to parents
-		// that are only materialized once the quorum lands.
-		rootID = s.trc.NewSpanID()
-		quorumID = s.trc.NewSpanID()
-	}
-	term := s.term
-	start := time.Now()
-	// The write stall is taken BEFORE the entry is appended and
-	// indexed. Stalling after the append would let concurrently stalled
-	// proposes wake in arbitrary order and fan out newer indexes ahead
-	// of older ones; a follower that sees index n+1 before n rejects
-	// the append, and two such rejects veto the quorum — a stall burst
-	// would surface as spurious leadership-lost errors instead of
-	// latency. Admission-side backpressure keeps append→fan-out atomic
-	// (no yield in between), so the wire order always matches the log.
-	s.admitDirtyWAL(co)
-	s.recordStall(tc, quorumID, start)
-	if s.role != Leader || s.term != term || s.stopped {
-		return 0, kv.Result{}, ErrDeposed
-	}
-	idx := s.wal.LastIndex() + 1
-	entry := storage.Entry{Index: idx, Term: term, Data: data}
-	appendStart := time.Now()
-	fsync, err := s.wal.Append([]storage.Entry{entry})
-	if err != nil {
-		return 0, kv.Result{}, err
-	}
-	var appendDone time.Time
-	if s.rec != nil || traced {
-		// The local fsync is judged into the quorum like any follower
-		// ack, so it can still be in flight when the quorum is met;
-		// capture its completion via hook rather than a wait.
-		core.OnEvent(fsync, func() {
-			appendDone = time.Now()
-			if traced {
-				s.trc.Record(tc, xtrace.Span{Parent: quorumID, Name: "wal.fsync",
-					Node: s.cfg.ID, Res: xtrace.Disk, Start: appendStart, End: appendDone})
-			}
-		})
-	}
-	s.cache.Put(entry)
-	s.persistAppend([]storage.Entry{entry})
-	s.enrollDirtyFsync(fsync)
-
-	targets := s.broadcastTargets()
-	q := core.NewQuorumEvent(1+len(targets), s.majority())
-	q.AddJudged(fsync, nil) // the leader's own durable append is one ack
-	prevTerm := s.termOf(idx - 1)
-	for _, p := range targets {
-		p := p
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: idx - 1,
-			PrevLogTerm:  prevTerm,
-			Entries:      []storage.Entry{entry},
-			LeaderCommit: s.commitIndex,
-		}
-		ev := core.NewResultEvent("rpc", p)
-		judge := s.appendJudge(p, idx, term)
-		if traced {
-			judge = s.tracedJudge(judge, tc, quorumID, p)
-		}
-		q.AddJudged(ev, judge)
-		s.outboxes[p].Send(ae, ev, int64(idx))
-	}
-	s.streamToLearners([]storage.Entry{entry}, idx, term)
-	fanned := time.Now()
-
-	switch co.WaitQuorum(q, s.cfg.CommitTimeout) {
-	case core.QuorumOK:
-	case core.QuorumStopped:
-		return 0, kv.Result{}, ErrStopping
-	case core.QuorumRejected:
-		return 0, kv.Result{}, ErrDeposed
-	default:
-		return 0, kv.Result{}, ErrCommitTimeout
-	}
-	if s.role != Leader || s.term != term {
-		return 0, kv.Result{}, ErrDeposed
-	}
-
-	// Quorum met: the framework may discard backlog still queued for
-	// straggling voters; repair catches them up later from the log.
-	// Learner streams are left intact — a learner's whole job is the
-	// catch-up.
-	if s.cfg.QuorumDiscard {
-		for _, p := range s.otherVoters() {
-			if s.matchIndex[p] < idx {
-				s.outboxes[p].CancelBelow(int64(idx))
-			}
-		}
-	}
-
-	quorumAt := time.Now()
-	s.advanceCommit(idx)
-	res, _ := s.takeResult(idx)
-	if traced {
-		applyAt := time.Now()
-		s.trc.Record(tc, xtrace.Span{ID: quorumID, Parent: rootID, Name: "quorum",
-			Node: s.cfg.ID, Res: xtrace.Queue, Start: start, End: quorumAt})
-		s.trc.Record(tc, xtrace.Span{Parent: rootID, Name: "apply",
-			Node: s.cfg.ID, Res: xtrace.CPU, Start: quorumAt, End: applyAt})
-		s.trc.Record(tc, xtrace.Span{ID: rootID, Parent: tc.Span, Name: "commit",
-			Node: s.cfg.ID, Res: xtrace.CPU, Start: start, End: applyAt})
-	}
-	s.emitCommitSpan(start, appendDone, fanned, quorumAt, idx, 1)
-	return idx, res, nil
-}
-
-// recordStall attributes a write-stall wait (stallDirtyWAL blocking on
-// the oldest dirty fsync) to this node's disk — the exact mechanism
-// that puts a fail-slow leader disk onto request critical paths.
-// Sub-half-millisecond stalls are noise and skipped.
-func (s *Server) recordStall(tc xtrace.Context, quorumID uint64, stallStart time.Time) {
-	if s.trc == nil || !tc.Active() {
-		return
-	}
-	d := time.Since(stallStart)
-	if d < 500*time.Microsecond {
-		return
-	}
-	s.trc.Record(tc, xtrace.Span{Parent: quorumID, Name: "wal.stall",
-		Node: s.cfg.ID, Res: xtrace.Disk, Start: stallStart, End: stallStart.Add(d)})
-}
 
 // tracedJudge wraps an append judge to record the replication span
 // toward p: the round-trip is (p, net) with the follower's reported
@@ -190,34 +48,6 @@ func (s *Server) tracedJudge(inner func(interface{}, error) bool, tc xtrace.Cont
 		}
 		return ok
 	}
-}
-
-// emitCommitSpan publishes one commit-pipeline span onto the flight
-// recorder: per-stage latencies of the propose→append→replicate→
-// quorum→apply path, all measured from propose time. A zero
-// appendDone means the local fsync was still in flight when the
-// quorum was met (a follower majority carried the commit), and the
-// append stage is omitted rather than guessed.
-func (s *Server) emitCommitSpan(start, appendDone, fanned, quorumAt time.Time, idx uint64, count int) {
-	applyAt := time.Now()
-	if s.commitHist != nil {
-		s.commitHist.Record(applyAt.Sub(start))
-	}
-	if s.rec == nil {
-		return
-	}
-	f := map[string]float64{
-		"index":        float64(idx),
-		"count":        float64(count),
-		"replicate_us": float64(fanned.Sub(start).Microseconds()),
-		"quorum_us":    float64(quorumAt.Sub(start).Microseconds()),
-		"apply_us":     float64(applyAt.Sub(quorumAt).Microseconds()),
-		"total_us":     float64(applyAt.Sub(start).Microseconds()),
-	}
-	if !appendDone.IsZero() {
-		f["append_us"] = float64(appendDone.Sub(start).Microseconds())
-	}
-	s.rec.Emit(obs.Event{Type: obs.CommitSpan, Node: s.cfg.ID, Fields: f})
 }
 
 // broadcastTargets returns the voters charged to latency-critical
@@ -337,11 +167,7 @@ func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.
 	if s.cfg.ReadIndex && m.Cmd.Op == kv.OpGet {
 		return s.readIndex(co, m, tc)
 	}
-	if s.cfg.BatchProposals {
-		return s.enqueueProposal(co, m, tc)
-	}
-
-	_, res, err := s.propose(co, codec.Marshal(m), tc)
+	_, res, err := s.commit(co, codec.Marshal(m), nil, tc)
 	if err != nil {
 		return &kv.ClientResponse{OK: false, NotLeader: errors.Is(err, ErrNotLeader) || errors.Is(err, ErrDeposed),
 			LeaderHint: s.leaderHint, Err: err.Error()}

@@ -299,7 +299,8 @@ func (s *Server) driveTransfer(co *core.Coroutine) {
 			}
 			return
 		}
-		if !sent && s.matchIndex[s.transferTo] >= s.wal.LastIndex() {
+		// The frozen log includes what still queues behind the commit gate.
+		if !sent && len(s.pending) == 0 && s.matchIndex[s.transferTo] >= s.wal.LastIndex() {
 			sent = true
 			s.Mitigation.Transfers.Inc()
 			s.rec.Emit(obs.Event{Type: obs.HandoffDrained, Node: s.cfg.ID, Peer: s.transferTo,

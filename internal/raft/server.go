@@ -113,12 +113,6 @@ type Config struct {
 	// the stall; 0 selects the default.
 	MaxDirtyAppends int
 
-	// BatchProposals groups concurrent client commands into shared log
-	// appends and AppendEntries messages (one QuorumEvent per batch),
-	// amortizing per-request replication costs under high client
-	// counts. Off by default: the paper's per-request pattern.
-	BatchProposals bool
-
 	// SnapshotThreshold compacts the log (taking a state-machine
 	// snapshot) once this many applied entries are retained; 0
 	// disables compaction.
@@ -297,8 +291,13 @@ type Server struct {
 	snapData    []byte
 
 	results  map[uint64]kv.Result // applied results awaiting their proposer
-	propQ    *core.Queue[*pendingProposal]
-	detector *detect.Detector // nil unless cfg.PeerDetector
+	detector *detect.Detector     // nil unless cfg.PeerDetector
+
+	// The commit gate (see batch.go): pending are the batches queued
+	// behind it, oldest first; awaiting counts flushed batches whose
+	// quorum is still outstanding, bounded by cfg.OutboxWindow.
+	pending  []*commitBatch
+	awaiting int
 
 	// dirtyFsyncs are the in-flight WAL flush events of leader appends,
 	// oldest first; the commit path stalls (bounded) once it exceeds
@@ -393,6 +392,9 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 	if cfg.RepairBatch <= 0 {
 		cfg.RepairBatch = 64
 	}
+	if cfg.OutboxWindow <= 0 {
+		cfg.OutboxWindow = 8 // the rpc.Outbox default: the commit gate uses it too
+	}
 	if cfg.DiskHelpers <= 0 {
 		cfg.DiskHelpers = 4
 	}
@@ -431,7 +433,6 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 		Mitigation:     metrics.NewMitigation(),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		lastHeartbeat:  time.Now(),
-		propQ:          core.NewQueue[*pendingProposal](),
 		quarantined:    make(map[string]bool),
 		slowVotes:      make(map[string]time.Time),
 		peerSelfSlow:   make(map[string]time.Time),
@@ -662,6 +663,7 @@ func (s *Server) stepDown(term uint64, leader string) {
 		s.persistState()
 	}
 	s.role = Follower
+	s.failPending(ErrDeposed)
 	if leader != "" {
 		s.leaderHint = leader
 	}

@@ -83,7 +83,13 @@ func (ob *Outbox) Peer() string { return ob.peer }
 // ErrBacklogOverflow / ErrDiscarded if the message never reaches the
 // wire). class orders the message for CancelBelow.
 func (ob *Outbox) Send(req codec.Message, ev *core.ResultEvent, class int64) {
-	payload := codec.Marshal(req)
+	ob.SendPayload(codec.Marshal(req), ev, class)
+}
+
+// SendPayload is Send for a message already encoded with codec.Marshal:
+// a broadcast encodes once and hands the same slice to every target's
+// outbox. The outbox only reads payload.
+func (ob *Outbox) SendPayload(payload []byte, ev *core.ResultEvent, class int64) {
 	if ob.capacity > 0 && len(ob.queue) >= ob.capacity {
 		ob.Overflows.Inc()
 		ev.Fire(nil, ErrBacklogOverflow)

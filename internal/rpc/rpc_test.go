@@ -387,6 +387,49 @@ func TestOutboxTracksResidentMemory(t *testing.T) {
 	})
 }
 
+// A broadcast encodes its message once and hands the same payload to
+// every target's outbox: each outbox delivers it and accounts for it on
+// its own, and discarding it in one leaves the other's copy alone.
+func TestOutboxSendPayloadSharesOneEncoding(t *testing.T) {
+	p := newPair(t)
+	e := env.New("a", env.DefaultConfig())
+	p.onA(t, func(co *core.Coroutine) {
+		payload := codec.Marshal(&echoReq{Text: strings.Repeat("x", 1000)})
+		size := int64(len(payload))
+		ob1 := NewOutbox(p.epA, "b", OutboxConfig{Window: 1, Env: e})
+		ob2 := NewOutbox(p.epA, "b", OutboxConfig{Window: 1, Env: e})
+		and := core.NewAndEvent()
+		for _, ob := range []*Outbox{ob1, ob2} {
+			ev := core.NewResultEvent("rpc", "b")
+			and.Add(ev)
+			ob.SendPayload(payload, ev, 0)
+		}
+		if co.WaitFor(and, 5*time.Second) != core.WaitReady {
+			t.Error("shared payload not delivered through both outboxes")
+			return
+		}
+
+		p.net.SetLinkDown("a", "b", true)
+		queued := core.NewResultEvent("rpc", "b")
+		for _, ob := range []*Outbox{ob1, ob2} {
+			ob.SendPayload(payload, core.NewResultEvent("rpc", "b"), 1) // holds the window
+		}
+		ob1.SendPayload(payload, queued, 2)
+		ob2.SendPayload(payload, core.NewResultEvent("rpc", "b"), 2)
+		if ob1.QueueBytes() != size || ob2.QueueBytes() != size || e.Resident() != 2*size {
+			t.Errorf("queued bytes = %d and %d, resident = %d; want %d, %d, %d",
+				ob1.QueueBytes(), ob2.QueueBytes(), e.Resident(), size, size, 2*size)
+		}
+		if n := ob1.CancelBelow(2); n != 1 || !errors.Is(queued.Err(), ErrDiscarded) {
+			t.Errorf("cancelled %d, err %v", n, queued.Err())
+		}
+		if ob1.QueueBytes() != 0 || ob2.QueueBytes() != size || e.Resident() != size {
+			t.Errorf("after discard in one: queued bytes = %d and %d, resident = %d; want 0, %d, %d",
+				ob1.QueueBytes(), ob2.QueueBytes(), e.Resident(), size, size)
+		}
+	})
+}
+
 func TestOutboxQuorumDiscardScenario(t *testing.T) {
 	// End-to-end mirror of the paper's broadcast optimization: leader
 	// broadcasts to 2 followers, one is partitioned; after quorum
