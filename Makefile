@@ -3,12 +3,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-quick bench-diff hedge-smoke clean
+.PHONY: all check build vet test race bench examples figures loc verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-quick bench-diff hedge-smoke clean
 
 all: check
 
-# The default gate: compile, vet, test.
-check: build vet test
+# The default gate: compile, vet, test, and the experiment layer's
+# line-count ratchet.
+check: build vet test loc
 
 build:
 	$(GO) build ./...
@@ -39,25 +40,43 @@ bench:
 figures:
 	$(GO) run ./cmd/depfast-bench -exp all
 
-verify:
-	$(GO) run ./cmd/depfast-bench -exp verify
+# Non-test line counts of the experiment layer. harness+explore is a
+# ratchet like lint-baseline.json: it may shrink, never grow past what
+# the last PR landed.
+LOC_MAX = 3700
+nontest = $$(ls $(1)/*.go | grep -v _test.go | xargs cat | wc -l)
+loc:
+	@h=$(call nontest,internal/harness); e=$(call nontest,internal/explore); \
+	echo "internal/harness $$h"; echo "internal/explore $$e"; \
+	echo "cmd/depfast-bench $(call nontest,cmd/depfast-bench)"; \
+	echo "harness+explore $$((h+e)) (ratchet $(LOC_MAX))"; test $$((h+e)) -le $(LOC_MAX)
+
+# Every row of the experiment table (internal/harness/rows.go) is a
+# smoke: `make smoke-shard`, `make smoke-hedge`, ... run it in its quick
+# form (rows without one ignore -quick) and exit non-zero when a gate
+# fails. The historical names below are aliases that add what their CI
+# step always had: the race detector, a timeline, a result file.
+smoke-%:
+	$(GO) run $(SMOKE_RACE) ./cmd/depfast-bench -exp $* -quick $(SMOKE_ARGS)
+
+verify: smoke-verify
 
 # Flight-recorder smoke: a quick mitigated run recorded to a timeline,
 # piped through the report tool (non-zero MTTD/MTTR expected).
-report-smoke:
-	$(GO) run ./cmd/depfast-bench -exp mitigation -quick -timeline /tmp/depfast-timeline.jsonl
+report-smoke: SMOKE_ARGS = -timeline /tmp/depfast-timeline.jsonl
+report-smoke: smoke-mitigation
 	$(GO) run ./cmd/depfast-report /tmp/depfast-timeline.jsonl
 
 # Sharded-KV smoke: the blast-radius containment experiment at CI
-# scale — one disk-slow shard leader, per-shard + aggregate table.
-shard-smoke:
-	$(GO) run ./cmd/depfast-bench -exp shard -quick
+# scale — one disk-slow shard leader, per-shard + aggregate table,
+# gated on containment >= 0.8 and zero cross-shard sentinel actions.
+shard-smoke: smoke-shard
 
 # Replacement smoke: a disk-slow follower is detected, quarantined,
 # condemned, removed, and replaced by a spare joined as a learner —
-# the whole sequence printed from the flight recorder.
-replace-smoke:
-	$(GO) run ./cmd/depfast-bench -exp replace
+# the whole sequence printed from the flight recorder, gated on the
+# replacement completing with zero lost acknowledged writes.
+replace-smoke: smoke-replace
 
 # Schedule-explorer smoke: a fixed-seed 50-schedule budget, race-clean,
 # covering both topologies and every scenario class (correlated
@@ -71,8 +90,8 @@ explore-smoke:
 # leader, head sampling + tail promotion) and gate on its two
 # acceptance numbers — >=90% of tail-promoted traces blame the injected
 # (node, resource), and tracing costs <5% throughput.
-trace-smoke:
-	$(GO) run -race ./cmd/depfast-bench -exp trace -quick
+trace-smoke: SMOKE_RACE = -race
+trace-smoke: smoke-trace
 
 # The repository's benchmark (benchmark/README.md) as a smoke run: every
 # workload with 2 s windows, correctness checks on, non-zero exit on any
@@ -89,9 +108,10 @@ bench-diff:
 # Request-hedging smoke: a sub-detection-threshold fail-slow episode,
 # speculation off vs on, gated on read-tail gain >= 2x, a linearizable
 # audit history, zero acked-write loss, and a silent server-side
-# detector plane; phase latencies emitted to BENCH_hedge.json.
-hedge-smoke:
-	$(GO) run -race ./cmd/depfast-bench -exp hedge -quick -out BENCH_hedge.json
+# detector plane; the run's Result written to BENCH_hedge.json.
+hedge-smoke: SMOKE_RACE = -race
+hedge-smoke: SMOKE_ARGS = -out BENCH_hedge.json
+hedge-smoke: smoke-hedge
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -12,6 +12,7 @@ package depfast_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -25,20 +26,29 @@ import (
 	"depfast/internal/transport"
 )
 
-// benchExperimentConfig returns cells short enough for benchmarking.
-func benchExperimentConfig() harness.ExperimentConfig {
-	ecfg := harness.DefaultExperimentConfig()
-	ecfg.Duration = 1200 * time.Millisecond
-	ecfg.Warmup = 400 * time.Millisecond
-	ecfg.Clients = 24
-	return ecfg
+// benchOptions returns cells short enough for benchmarking.
+func benchOptions() harness.Options {
+	o := harness.DefaultOptions()
+	o.Duration = 1200 * time.Millisecond
+	o.Warmup = 400 * time.Millisecond
+	return o
+}
+
+// measure runs one scenario and returns its result and "measure" window.
+func measure(b *testing.B, sc harness.Scenario) (harness.Result, harness.Stats) {
+	b.Helper()
+	res, err := harness.Run(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res, res.Phase("measure").All
 }
 
 // BenchmarkTable1FaultCatalog regenerates Table 1: the fault catalog
 // with the measured per-resource stretch factors.
 func BenchmarkTable1FaultCatalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := harness.Table1(failslow.DefaultIntensity())
+		rows := harness.Table1()
 		if i == 0 {
 			b.Logf("\n%s", harness.RenderTable1(rows))
 			for _, r := range rows {
@@ -55,116 +65,62 @@ func BenchmarkTable1FaultCatalog(b *testing.B) {
 	}
 }
 
-// figure1For benches one baseline system across all faults
-// (one column of Figure 1).
-func figure1For(b *testing.B, sys harness.System) {
+// figureColumn benches one group of a paper figure — a system at a
+// node count across all faults — and reports its worst normalized
+// throughput, P99 and drift.
+func figureColumn(b *testing.B, label string, sys harness.System, nodes int) {
 	for i := 0; i < b.N; i++ {
-		var base harness.RunResult
-		var worstTput = 1.0
-		var worstP99 = 1.0
-		ecfg := benchExperimentConfig()
+		var base harness.Stats
+		worstTput, worstP99, maxDrift := 1.0, 1.0, 0.0
 		var lines string
 		for _, fault := range failslow.All {
-			cfg := harness.DefaultRunConfig(sys)
-			cfg.Duration = ecfg.Duration
-			cfg.Warmup = ecfg.Warmup
-			cfg.Clients = ecfg.Clients
-			cfg.Fault = fault
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res, m := measure(b, harness.Steady(fmt.Sprintf("%s/%v", label, fault), benchOptions(), sys, nodes, fault, 1))
 			if fault == failslow.None {
-				base = res
+				base = m
 			}
-			nt := res.Throughput / base.Throughput
-			np := float64(res.P99) / float64(base.P99)
-			if nt < worstTput {
-				worstTput = nt
-			}
-			if np > worstP99 {
-				worstP99 = np
-			}
+			nt, np := m.Tput/base.Tput, float64(m.P99)/float64(base.P99)
+			worstTput, worstP99 = math.Min(worstTput, nt), math.Max(worstP99, np)
+			maxDrift = math.Max(maxDrift, math.Max(math.Abs(nt-1), math.Abs(float64(m.Mean)/float64(base.Mean)-1)))
 			lines += fmt.Sprintf("  %s  [norm tput %.2f p99 %.2f]\n", res, nt, np)
 		}
 		if i == 0 {
-			b.Logf("\nFigure 1 column — %v:\n%s", sys, lines)
-			b.ReportMetric(base.Throughput, "base-op/s")
+			b.Logf("\n%s:\n%s", label, lines)
+			b.ReportMetric(base.Tput, "base-op/s")
 			b.ReportMetric(worstTput, "worst-norm-tput")
 			b.ReportMetric(worstP99, "worst-norm-p99")
+			b.ReportMetric(maxDrift*100, "max-drift-%")
 		}
 	}
 }
 
 // BenchmarkFigure1SyncRSM..CallbackRSM regenerate the three groups of
 // Figure 1 (baseline RSMs with one fail-slow follower, normalized).
-func BenchmarkFigure1SyncRSM(b *testing.B)     { figure1For(b, harness.SyncRSM) }
-func BenchmarkFigure1BufferRSM(b *testing.B)   { figure1For(b, harness.BufferRSM) }
-func BenchmarkFigure1CallbackRSM(b *testing.B) { figure1For(b, harness.CallbackRSM) }
-
-// figure3For benches DepFastRaft at one group size with a minority of
-// fail-slow followers (one group of Figure 3).
-func figure3For(b *testing.B, nodes int) {
-	for i := 0; i < b.N; i++ {
-		var base harness.RunResult
-		maxDrift := 0.0
-		ecfg := benchExperimentConfig()
-		var lines string
-		for _, fault := range failslow.All {
-			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-			cfg.Nodes = nodes
-			cfg.FaultFollowers = (nodes - 1) / 2
-			cfg.Duration = ecfg.Duration
-			cfg.Warmup = ecfg.Warmup
-			cfg.Clients = ecfg.Clients
-			cfg.Fault = fault
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if fault == failslow.None {
-				base = res
-			}
-			for _, pair := range [][2]float64{
-				{res.Throughput, base.Throughput},
-				{float64(res.Mean), float64(base.Mean)},
-			} {
-				d := pair[0]/pair[1] - 1
-				if d < 0 {
-					d = -d
-				}
-				if d > maxDrift {
-					maxDrift = d
-				}
-			}
-			lines += fmt.Sprintf("  %s\n", res)
-		}
-		if i == 0 {
-			b.Logf("\nFigure 3 group — %d nodes:\n%s", nodes, lines)
-			b.ReportMetric(base.Throughput, "base-op/s")
-			b.ReportMetric(maxDrift*100, "max-drift-%")
-		}
-	}
+func BenchmarkFigure1SyncRSM(b *testing.B) { figureColumn(b, "figure1/SyncRSM", harness.SyncRSM, 3) }
+func BenchmarkFigure1BufferRSM(b *testing.B) {
+	figureColumn(b, "figure1/BufferRSM", harness.BufferRSM, 3)
+}
+func BenchmarkFigure1CallbackRSM(b *testing.B) {
+	figureColumn(b, "figure1/CallbackRSM", harness.CallbackRSM, 3)
 }
 
 // BenchmarkFigure3ThreeNodes / FiveNodes regenerate Figure 3
 // (DepFastRaft with a minority of fail-slow followers, absolute).
-func BenchmarkFigure3ThreeNodes(b *testing.B) { figure3For(b, 3) }
-func BenchmarkFigure3FiveNodes(b *testing.B)  { figure3For(b, 5) }
+func BenchmarkFigure3ThreeNodes(b *testing.B) { figureColumn(b, "figure3/3", harness.DepFastRaft, 3) }
+func BenchmarkFigure3FiveNodes(b *testing.B)  { figureColumn(b, "figure3/5", harness.DepFastRaft, 5) }
 
 // BenchmarkFigure2SPG regenerates the slowness propagation graph of
 // Figure 2 and reports its shape.
 func BenchmarkFigure2SPG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, col, err := harness.Figure2(30*time.Second, 25)
+		out, err := harness.RunRow("figure2", benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", g.ASCII())
-			b.ReportMetric(float64(len(g.QuorumEdges())), "green-edges")
-			b.ReportMetric(float64(len(g.SingularEdges())), "red-edges")
-			b.ReportMetric(float64(col.Len()), "wait-records")
+			b.Logf("\n%s", out.Text)
+			b.ReportMetric(out.Derived["green_edges"], "green-edges")
+			b.ReportMetric(out.Derived["red_edges"], "red-edges")
+			b.ReportMetric(float64(out.Results[0].Collector.Len()), "wait-records")
 		}
 	}
 }
@@ -174,20 +130,11 @@ func BenchmarkFigure2SPG(b *testing.B) {
 // by a smaller base performance.
 func BenchmarkBaseThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, sys := range []harness.System{
-			harness.DepFastRaft, harness.SyncRSM, harness.BufferRSM, harness.CallbackRSM,
-		} {
-			cfg := harness.DefaultRunConfig(sys)
-			cfg.Duration = 1200 * time.Millisecond
-			cfg.Warmup = 400 * time.Millisecond
-			cfg.Clients = 24
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, sys := range harness.Systems {
+			res, m := measure(b, harness.Steady("base/"+sys.String(), benchOptions(), sys, 3, failslow.None, 1))
 			if i == 0 {
 				b.Logf("%s", res)
-				b.ReportMetric(res.Throughput, sys.String()+"-op/s")
+				b.ReportMetric(m.Tput, sys.String()+"-op/s")
 			}
 		}
 	}
@@ -200,23 +147,12 @@ func BenchmarkAblationDiscard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, discard := range []bool{true, false} {
 			discard := discard
-			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-			cfg.Duration = 1200 * time.Millisecond
-			cfg.Warmup = 400 * time.Millisecond
-			cfg.Clients = 24
-			cfg.Fault = failslow.NetSlow
-			cfg.RaftMutate = func(rc *raft.Config) { rc.QuorumDiscard = discard }
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sc := harness.Steady(fmt.Sprintf("discard=%v", discard), benchOptions(), harness.DepFastRaft, 3, failslow.NetSlow, 1)
+			sc.Topology.Raft = func(rc *raft.Config) { rc.QuorumDiscard = discard }
+			res, m := measure(b, sc)
 			if i == 0 {
-				b.Logf("discard=%v: %s", discard, res)
-				name := "discard-on-op/s"
-				if !discard {
-					name = "discard-off-op/s"
-				}
-				b.ReportMetric(res.Throughput, name)
+				b.Logf("%s", res)
+				b.ReportMetric(m.Tput, map[bool]string{true: "discard-on-op/s", false: "discard-off-op/s"}[discard])
 			}
 		}
 	}
@@ -229,19 +165,12 @@ func BenchmarkAblationEntryCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, size := range []int{8, 32, 512} {
 			size := size
-			cfg := harness.DefaultRunConfig(harness.SyncRSM)
-			cfg.Duration = 1200 * time.Millisecond
-			cfg.Warmup = 400 * time.Millisecond
-			cfg.Clients = 24
-			cfg.Fault = failslow.NetSlow
-			cfg.BaselineMutate = func(bc *baseline.Config) { bc.EntryCacheSize = size }
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sc := harness.Steady(fmt.Sprintf("cache=%d", size), benchOptions(), harness.SyncRSM, 3, failslow.NetSlow, 1)
+			sc.Topology.Baseline = func(bc *baseline.Config) { bc.EntryCacheSize = size }
+			res, m := measure(b, sc)
 			if i == 0 {
-				b.Logf("cache=%d: %s", size, res)
-				b.ReportMetric(res.Throughput, fmt.Sprintf("cache%d-op/s", size))
+				b.Logf("%s", res)
+				b.ReportMetric(m.Tput, fmt.Sprintf("cache%d-op/s", size))
 			}
 		}
 	}
@@ -253,17 +182,10 @@ func BenchmarkAblationReadIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, readIndex := range []bool{false, true} {
 			readIndex := readIndex
-			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-			cfg.Duration = 1200 * time.Millisecond
-			cfg.Warmup = 400 * time.Millisecond
-			cfg.Clients = 24
-			cfg.RaftMutate = func(rc *raft.Config) { rc.ReadIndex = readIndex }
-			res, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("readindex=%v: %s", readIndex, res)
+			sc := harness.Steady(fmt.Sprintf("readindex=%v", readIndex), benchOptions(), harness.DepFastRaft, 3, failslow.None, 1)
+			sc.Topology.Raft = func(rc *raft.Config) { rc.ReadIndex = readIndex }
+			if res, _ := measure(b, sc); i == 0 {
+				b.Logf("%s", res)
 			}
 		}
 	}
@@ -355,22 +277,18 @@ func BenchmarkAblationBatching(b *testing.B) {
 			cap  int // 0 keeps the default RepairBatch
 		}{{"one-entry-per-msg-op/s", 1}, {"group-commit-op/s", 0}} {
 			c := c
-			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-			cfg.Duration = 1500 * time.Millisecond
-			cfg.Warmup = 500 * time.Millisecond
-			cfg.Clients = 64
-			cfg.RaftMutate = func(rc *raft.Config) {
+			o := benchOptions()
+			o.Duration, o.Warmup, o.Clients = 1500*time.Millisecond, 500*time.Millisecond, 64
+			sc := harness.Steady(c.name, o, harness.DepFastRaft, 3, failslow.None, 1)
+			sc.Topology.Raft = func(rc *raft.Config) {
 				if c.cap > 0 {
 					rc.RepairBatch = c.cap
 				}
 			}
-			res, err := harness.RunStable(cfg, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res, m := measure(b, sc)
 			if i == 0 {
-				b.Logf("%s: %s", c.name, res)
-				b.ReportMetric(res.Throughput, c.name)
+				b.Logf("%s", res)
+				b.ReportMetric(m.Tput, c.name)
 			}
 		}
 	}
@@ -381,19 +299,14 @@ func BenchmarkAblationBatching(b *testing.B) {
 // windows stay flat while a baseline's sag (§5 transient faults).
 func BenchmarkTransientFault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, sys := range []harness.System{harness.DepFastRaft, harness.CallbackRSM} {
-			cfg := harness.DefaultRunConfig(sys)
-			cfg.Clients = 24
-			cfg.Fault = failslow.NetSlow
-			res, err := harness.RunTransient(cfg, 3*time.Second, 500*time.Millisecond,
-				time.Second, time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				before, during, _ := res.PhaseThroughputs()
-				b.Logf("\n%s", res.Render())
-				b.ReportMetric(during/before, sys.String()+"-during/before")
+		out, err := harness.RunRow("transient", benchOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.Logf("\n%s", out.Text)
+			for _, r := range out.Results {
+				b.ReportMetric(r.Phase("fault").All.Tput/r.Phase("before").All.Tput, r.System+"-during/before")
 			}
 		}
 	}
@@ -402,18 +315,16 @@ func BenchmarkTransientFault(b *testing.B) {
 // BenchmarkClientSweep sweeps the closed-loop client population — the
 // scaled version of the paper's 256–1200 YCSB clients.
 func BenchmarkClientSweep(b *testing.B) {
-	counts := []int{8, 24, 48}
 	for i := 0; i < b.N; i++ {
-		cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-		cfg.Duration = time.Second
-		cfg.Warmup = 300 * time.Millisecond
-		results, err := harness.Sweep(cfg, counts)
+		o := benchOptions()
+		o.Duration, o.Warmup = time.Second, 300*time.Millisecond
+		out, err := harness.RunRow("sweep", o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", harness.RenderSweep(results, counts))
-			b.ReportMetric(results[len(results)-1].Throughput, "peak-op/s")
+			b.Logf("\n%s", out.Text)
+			b.ReportMetric(out.Results[len(out.Results)-1].Phase("measure").All.Tput, "peak-op/s")
 		}
 	}
 }
@@ -422,18 +333,20 @@ func BenchmarkClientSweep(b *testing.B) {
 // magnitude: DepFastRaft stays flat while CallbackRSM bends.
 func BenchmarkIntensitySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ecfg := benchExperimentConfig()
-		delays := []time.Duration{20 * time.Millisecond, 80 * time.Millisecond}
-		res, err := harness.IntensitySweep(ecfg,
-			[]harness.System{harness.DepFastRaft, harness.CallbackRSM}, delays)
+		out, err := harness.RunRow("intensity", benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", res.Render())
-			last := len(delays) - 1
-			b.ReportMetric(res.Points[harness.DepFastRaft][last].NormTput, "depfast-80ms-x")
-			b.ReportMetric(res.Points[harness.CallbackRSM][last].NormTput, "callback-80ms-x")
+			b.Logf("\n%s", out.Text)
+			// Cells are system-major: a base cell, then one per delay.
+			tput := func(k int) float64 { return out.Results[k].Phase("measure").All.Tput }
+			per := len(out.Results) / len(harness.Systems)
+			for s, sys := range harness.Systems {
+				if sys == harness.DepFastRaft || sys == harness.CallbackRSM {
+					b.ReportMetric(tput(s*per+per-1)/tput(s*per), sys.String()+"-80ms-x")
+				}
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func verdictJSON(v explore.Verdict) map[string]any {
 		"failures":    v.Failures,
 		"ops":         v.Ops,
 		"acked":       v.Acked,
-		"lost":        v.Lost,
+		"lost":        len(v.Lost),
 		"lin":         v.Lin.Verdict.String(),
 		"lin_states":  v.Lin.States,
 		"churned":     v.Churned,

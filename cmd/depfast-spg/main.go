@@ -3,14 +3,13 @@
 // table and optionally Graphviz DOT, together with the fail-slow
 // fault-tolerance verification report.
 //
-//	depfast-spg -ops 50 -dot spg.dot
+//	depfast-spg -dot spg.dot
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"depfast/internal/harness"
 	"depfast/internal/trace"
@@ -18,28 +17,22 @@ import (
 
 func main() {
 	var (
-		ops     = flag.Int("ops", 40, "operations per client")
-		timeout = flag.Duration("timeout", 60*time.Second, "overall deadline")
 		dotOut  = flag.String("dot", "", "write Graphviz DOT to this file")
 		jsonOut = flag.String("json", "", "write the raw wait records as JSON lines to this file (analyze with depfast-trace)")
 	)
 	flag.Parse()
 
-	g, col, err := harness.Figure2(*timeout, *ops)
+	// The figure2 row of the experiment table is the traced run; its
+	// report is the graph, the verification verdict, and the DOT file.
+	o := harness.DefaultOptions()
+	o.Dot = *dotOut
+	out, err := harness.RunRow("figure2", o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "depfast-spg:", err)
 		os.Exit(1)
 	}
-	fmt.Println("slowness propagation graph (3 shards s1-s9, clients c1-c3):")
-	fmt.Println(g.ASCII())
-	fmt.Println(trace.Report(col.Records(), trace.VerifyConfig{AllowClientPrefix: "c"}))
-	if *dotOut != "" {
-		if err := os.WriteFile(*dotOut, []byte(g.DOT()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "depfast-spg:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("DOT written to %s\n", *dotOut)
-	}
+	fmt.Print(out.Text)
+	col := out.Results[0].Collector
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
 		if err != nil {

@@ -1,14 +1,14 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
-	"depfast/internal/clock"
 	"depfast/internal/core"
 	"depfast/internal/env"
 	"depfast/internal/failslow"
@@ -16,59 +16,28 @@ import (
 	"depfast/internal/obs"
 	"depfast/internal/raft"
 	"depfast/internal/rpc"
-	"depfast/internal/shard"
-	"depfast/internal/transport"
 )
 
 // RunnerConfig parameterizes how one schedule is executed.
 type RunnerConfig struct {
-	// StepDur is the wall-clock length of one logical step.
+	// StepDur is the wall-clock length of one logical step (0 = 80ms).
 	StepDur time.Duration
 	// AuditClients is the register-key client population whose
-	// operation history feeds the linearizability check.
+	// operation history feeds the linearizability check; Keys is the
+	// register-key count they contend on (0 = 3 of each).
 	AuditClients int
-	// Keys is the register-key count the audit clients contend on.
-	Keys int
-	// Intensity is the base Table 1 fault intensity (event Scale
-	// multiplies it).
-	Intensity failslow.Intensity
+	Keys         int
 	// ConvergeWait bounds the post-run wait for a terminal healthy
-	// configuration; ChurnWait bounds the membership-change pipeline.
+	// configuration (0 = 10s).
 	ConvergeWait time.Duration
-	ChurnWait    time.Duration
-	// LinBudget caps linearizability-search states (0 = default).
-	LinBudget int
 	// Broken swaps in a deliberately mis-tuned sentinel (hair-trigger
 	// quarantine, hysteresis disabled, condemnation without
 	// replacement) — the self-test target the explorer must catch.
 	Broken bool
-	// Recorder receives schedule/verdict/violation events plus the
-	// whole cluster timeline. May be nil.
-	Recorder *obs.Recorder
 }
 
-// WithDefaults fills zero fields with the CI-smoke scale.
-func (c RunnerConfig) WithDefaults() RunnerConfig {
-	if c.StepDur <= 0 {
-		c.StepDur = 80 * time.Millisecond
-	}
-	if c.AuditClients <= 0 {
-		c.AuditClients = 3
-	}
-	if c.Keys <= 0 {
-		c.Keys = 3
-	}
-	if c.Intensity == (failslow.Intensity{}) {
-		c.Intensity = failslow.DefaultIntensity()
-	}
-	if c.ConvergeWait <= 0 {
-		c.ConvergeWait = 10 * time.Second
-	}
-	if c.ChurnWait <= 0 {
-		c.ChurnWait = 10 * time.Second
-	}
-	return c
-}
+// churnWait bounds the membership-change pipeline of a churn event.
+const churnWait = 10 * time.Second
 
 // Verdict is the outcome of running one schedule: the invariant
 // checks, their supporting numbers, and enough identity (the spec) to
@@ -80,12 +49,10 @@ type Verdict struct {
 	// Failures lists every violated invariant, one line each.
 	Failures []string
 
-	Lin      harness.LinReport
-	Acked    int // unique-key writes acknowledged to the auditor
-	Lost     int // acked writes missing from final state machines
-	Ops      int // audit operations recorded in the history
-	Churned  bool
-	Converge string // convergence summary (reason when failed)
+	// Audit is the engine's closing audit: the history's
+	// linearizability, acked-write survival, per-group convergence.
+	harness.Audit
+	Churned bool
 
 	// Transitions tallies the sentinel state transitions this schedule
 	// exercised (quarantine, rehab, handoff, condemn, replace) — the
@@ -93,8 +60,7 @@ type Verdict struct {
 	// sentinel through a transition is not testing that transition.
 	Transitions map[string]int
 
-	Elapsed  time.Duration // whole run
-	CheckDur time.Duration // invariant checking only (lin + audit)
+	Elapsed time.Duration // whole run
 }
 
 // String renders a one-line verdict.
@@ -106,347 +72,36 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("FAIL %-10s %s\n     %v", v.Schedule.Class, v.Spec, v.Failures)
 }
 
-// Run executes one schedule and checks the run invariants. The same
-// spec always builds the same cluster, applies the same faults at the
-// same steps, and checks the same invariants — the replay contract.
-func Run(s Schedule, cfg RunnerConfig) (Verdict, error) {
-	cfg = cfg.WithDefaults()
-	if err := s.Validate(); err != nil {
-		return Verdict{}, err
+// compile turns a schedule into a scenario for the harness engine: the
+// topology (a 3-replica raft group plus the standby spare churn
+// targets, or the sharded 2×3 deployment), the audit population as the
+// only load, and one phase per logical step — each first clearing the
+// events whose window ends there, then injecting the events that start
+// there. A churn event starts its membership change from the step's
+// hook and appends a phase that heals the faults, stops the load and
+// waits the change out; the returned driver reports its outcome (nil without churn).
+// The same spec always compiles to the same scenario — the replay
+// contract.
+func compile(s Schedule, cfg RunnerConfig) (harness.Scenario, *churnDriver) {
+	cfg.StepDur = cmp.Or(max(cfg.StepDur, 0), 80*time.Millisecond)
+	cfg.AuditClients, cfg.Keys = cmp.Or(max(cfg.AuditClients, 0), 3), cmp.Or(max(cfg.Keys, 0), 3)
+	sc := harness.Scenario{
+		Name:         s.Spec(),
+		Seed:         s.Seed,
+		Topology:     harness.Topology{Spare: true, Raft: quickRaft(cfg.Broken)},
+		Load:         harness.Load{Records: 600, Auditors: cfg.AuditClients, Keys: cfg.Keys},
+		ConvergeWait: cfg.ConvergeWait,
 	}
-	if cfg.Recorder == nil {
-		// Transition coverage is read off the sentinel's event stream,
-		// so a run always has a recorder even when the caller wants no
-		// timeline of its own.
-		cfg.Recorder = obs.NewRecorder(4096)
-	}
-	start := time.Now()
-	cfg.Recorder.Emit(obs.Event{Type: obs.ScheduleStarted, Node: "explore", Detail: s.Spec()})
-	var v Verdict
-	var err error
 	if s.Topo == TopoShard {
-		v, err = runShard(s, cfg)
-	} else {
-		v, err = runRaft(s, cfg)
+		sc.Topology.Spare, sc.Topology.Groups = false, len(shardNodes)
 	}
-	if err != nil {
-		return v, err
-	}
-	v.Elapsed = time.Since(start)
-	v.Pass = len(v.Failures) == 0
-	v.Transitions = sentinelTransitions(cfg.Recorder.Events(), start)
-	pass := 0.0
-	if v.Pass {
-		pass = 1
-	}
-	for _, f := range v.Failures {
-		cfg.Recorder.Emit(obs.Event{Type: obs.InvariantViolated, Node: "explore", Detail: f})
-	}
-	cfg.Recorder.Emit(obs.Event{Type: obs.ScheduleVerdict, Node: "explore",
-		Detail: v.Spec, Fields: map[string]float64{"pass": pass}})
-	return v, nil
-}
-
-// TransitionKinds is the sentinel-transition coverage vocabulary, in
-// escalation order.
-var TransitionKinds = []string{"quarantine", "rehab", "handoff", "condemn", "replace"}
-
-// sentinelTransitions tallies which sentinel transitions the recorded
-// events show, keyed by the TransitionKinds vocabulary. Only events
-// stamped at or after start count, so a recorder shared across a whole
-// exploration budget attributes each transition to the schedule that
-// caused it.
-func sentinelTransitions(evs []obs.Event, start time.Time) map[string]int {
-	out := map[string]int{}
-	for _, ev := range evs {
-		if ev.Time.Before(start) {
-			continue
-		}
-		switch ev.Type {
-		case obs.QuarantineEnter:
-			out["quarantine"]++
-		case obs.QuarantineExit:
-			out["rehab"]++
-		case obs.HandoffStarted:
-			out["handoff"]++
-		case obs.MemberRemoved:
-			out["condemn"]++
-		case obs.ReplacementCompleted:
-			out["replace"]++
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// quickRaftConfig is the sped-up server config schedules run under:
-// fast elections and sentinel ticks so six 80ms steps see detection,
-// mitigation, and rehabilitation — or, with Broken, the mis-tuned
-// sentinel whose condemned peers are never released.
-func quickRaftConfig(name string, peers []string, seed int64, cfg RunnerConfig, rec *obs.Recorder) raft.Config {
-	rc := raft.DefaultConfig(name, peers)
-	rc.ElectionTimeoutMin = 75 * time.Millisecond
-	rc.ElectionTimeoutMax = 150 * time.Millisecond
-	rc.HeartbeatInterval = 20 * time.Millisecond
-	rc.Mitigation = true
-	rc.Recorder = rec
-	rc.Seed = seed
-	rc.Mitigate.Interval = 10 * time.Millisecond
-	if cfg.Broken {
-		// Hysteresis off: quarantine on the first suspect tick, declare
-		// rehabilitation after one healthy RTT, and condemn a peer
-		// after 20ms of cumulative quarantine — with no AutoReplace, a
-		// condemned peer is quarantined forever. (Zero values would be
-		// re-defaulted by mitigate.Config.WithDefaults, hence the tiny
-		// positive ones.)
-		rc.Mitigate.QuarantineAfter = 1
-		rc.Mitigate.RehabRTTs = 1
-		rc.Mitigate.MinQuarantine = time.Nanosecond
-		rc.Mitigate.SlowBudget = 20 * time.Millisecond
-		rc.Mitigate.ReplaceAfterQuarantines = 1
-	}
-	return rc
-}
-
-// kindFault maps schedule vocabulary onto the Table 1 catalog.
-func kindFault(k FaultKind) failslow.Fault {
-	switch k {
-	case FaultCPU:
-		return failslow.CPUSlow
-	case FaultDisk:
-		return failslow.DiskSlow
-	case FaultNet:
-		return failslow.NetSlow
-	case FaultMem:
-		return failslow.MemContention
-	}
-	return failslow.None
-}
-
-// runRaft drives a schedule against a 3-replica raft group plus a
-// standby spare (the churn target).
-func runRaft(s Schedule, cfg RunnerConfig) (Verdict, error) {
-	nodes := append([]string(nil), raftNodes...)
-	const spare = "s4"
-	rec := cfg.Recorder
-	net := transport.NewNetwork()
-	defer net.Close()
-
-	envs := make(map[string]*env.Env)
-	servers := make(map[string]*raft.Server)
-	build := func(name string, peers []string, i int) {
-		rc := quickRaftConfig(name, peers, s.Seed+int64(i)*7919, cfg, rec)
-		e := env.New(name, env.DefaultConfig())
-		srv := raft.NewServer(rc, e, net)
-		net.Register(name, e, srv.TransportHandler())
-		envs[name] = e
-		servers[name] = srv
-	}
-	for i, name := range nodes {
-		build(name, nodes, i)
-	}
-	// The spare idles with no peers until a churn joins it.
-	build(spare, nil, len(nodes))
-	for _, srv := range servers {
-		srv.Start()
-	}
-	defer func() {
-		for _, srv := range servers {
-			srv.Stop()
-		}
-	}()
-
-	if !clock.WaitUntil(10*time.Second, 5*time.Millisecond, func() bool {
-		_, ok := raft.AgreedLeader(servers)
-		return ok
-	}) {
-		return Verdict{}, fmt.Errorf("explore: no leader within 10s")
-	}
-	leader, _ := raft.AgreedLeader(servers)
-	order := append([]string{leader}, othersOf(nodes, leader)...)
-
-	aud := startAudit(net, s.Seed, cfg, func(ep *rpc.Endpoint, i int) dataClient {
-		return raft.NewClient(uint64(5000+i), ep, order, 2*time.Second)
-	})
-	defer aud.close()
-
-	script := failslow.NewScript(rec, cfg.Intensity)
 	var churn *churnDriver
-	runSteps(s, cfg, script, envs, func(ev Event) {
-		if churn == nil {
-			churn = startChurn(net, servers, spare, ev.Nodes[0], cfg, rec)
-		}
-	})
-
-	script.ClearAll()
-	aud.stopClients()
-	v := Verdict{Schedule: s, Spec: s.Spec()}
-	if churn != nil {
-		v.Churned = churn.wait()
-		churn.close()
-	}
-
-	conv := harness.WaitConvergence(servers, len(nodes), cfg.ConvergeWait)
-	v.Converge = conv.String()
-	if !conv.Converged {
-		v.Failures = append(v.Failures, fmt.Sprintf("convergence: %s", conv.Reason))
-	}
-
-	checkStart := time.Now()
-	hist, acked := aud.snapshot()
-	v.Ops = len(hist)
-	v.Acked = len(acked)
-	v.Lin = harness.CheckLinearizable(hist, cfg.LinBudget)
-	if v.Lin.Verdict == harness.LinViolation {
-		v.Failures = append(v.Failures, fmt.Sprintf("linearizability: key %q has no valid linearization", v.Lin.Key))
-	}
-	if conv.Converged {
-		finals := make([]*raft.Server, 0, len(conv.Voters))
-		for _, name := range conv.Voters {
-			if srv, ok := servers[name]; ok {
-				finals = append(finals, srv)
-			}
-		}
-		lost := harness.AuditAcked(finals, acked)
-		v.Lost = len(lost)
-		if v.Lost > 0 {
-			v.Failures = append(v.Failures, fmt.Sprintf("acked-write loss: %d of %d acked keys missing (first: %s)",
-				v.Lost, v.Acked, lost[0]))
-		}
-	}
-	v.CheckDur = time.Since(checkStart)
-	return v, nil
-}
-
-// runShard drives a schedule against a 2×3 sharded deployment through
-// the routing frontend, adding the blast-radius invariant: groups no
-// event targeted must see zero sentinel activity.
-func runShard(s Schedule, cfg RunnerConfig) (Verdict, error) {
-	const groups, replicas = 2, 3
-	rec := cfg.Recorder
-	m := shard.NewMap(shard.NewRangePartitioner(groups, 600), replicas)
-	net := transport.NewNetwork()
-	defer net.Close()
-	cluster := shard.NewCluster(shard.ClusterConfig{
-		Map:      m,
-		Seed:     func(g, i int) int64 { return s.Seed + int64(g)*104729 + int64(i)*7919 },
-		Recorder: rec,
-		RaftMutate: func(g int, rc *raft.Config) {
-			*rc = quickRaftConfig(rc.ID, rc.Peers, rc.Seed, cfg, rec)
-		},
-	}, net)
-	cluster.Start()
-	defer cluster.Stop()
-
-	if !clock.WaitUntil(10*time.Second, 5*time.Millisecond, func() bool {
-		_, ok := cluster.Leaders()
-		return ok
-	}) {
-		return Verdict{}, fmt.Errorf("explore: not all %d groups elected a leader within 10s", groups)
-	}
-
-	envs := make(map[string]*env.Env)
-	for _, grp := range cluster.Groups() {
-		for name, e := range grp.Envs {
-			envs[name] = e
-		}
-	}
-
-	aud := startAudit(net, s.Seed, cfg, func(ep *rpc.Endpoint, i int) dataClient {
-		return shard.NewRouter(m, ep, 2*time.Second)
-	})
-	defer aud.close()
-
-	script := failslow.NewScript(rec, cfg.Intensity)
-	runSteps(s, cfg, script, envs, nil)
-	script.ClearAll()
-	aud.stopClients()
-
-	v := Verdict{Schedule: s, Spec: s.Spec()}
-	for _, grp := range cluster.Groups() {
-		conv := harness.WaitConvergence(grp.Servers, replicas, cfg.ConvergeWait)
-		if v.Converge != "" {
-			v.Converge += "; "
-		}
-		v.Converge += fmt.Sprintf("%s: %s", grp.ID, conv)
-		if !conv.Converged {
-			v.Failures = append(v.Failures, fmt.Sprintf("convergence(%s): %s", grp.ID, conv.Reason))
-		}
-	}
-
-	// Blast radius: every sentinel action must stay inside the faulted
-	// groups.
-	faulted := make(map[int]bool)
-	for _, n := range s.FaultedNodes() {
-		faulted[m.GroupOf(n)] = true
-	}
-	for _, ev := range s.Events {
-		if ev.Kind == FaultAsym {
-			// The slow *path* implicates the receiver's group too: its
-			// leader legitimately observes slow RTTs from the source.
-			faulted[m.GroupOf(ev.Peer)] = true
-		}
-	}
-	for g, grp := range cluster.Groups() {
-		if faulted[g] {
-			continue
-		}
-		var actions int64
-		for _, srv := range grp.Servers {
-			actions += srv.Mitigation.QuarantinesEntered.Value() + srv.Mitigation.Transfers.Value()
-		}
-		if actions > 0 {
-			v.Failures = append(v.Failures, fmt.Sprintf("containment: %d sentinel actions in untargeted %s", actions, grp.ID))
-		}
-	}
-
-	checkStart := time.Now()
-	hist, acked := aud.snapshot()
-	v.Ops = len(hist)
-	v.Acked = len(acked)
-	v.Lin = harness.CheckLinearizable(hist, cfg.LinBudget)
-	if v.Lin.Verdict == harness.LinViolation {
-		v.Failures = append(v.Failures, fmt.Sprintf("linearizability: key %q has no valid linearization", v.Lin.Key))
-	}
-	// Each acked key is audited against its owning group's replicas.
-	lost := 0
-	var first string
-	for _, key := range acked {
-		grp := cluster.GroupFor(key)
-		finals := make([]*raft.Server, 0, replicas)
-		for _, srv := range grp.Servers {
-			finals = append(finals, srv)
-		}
-		if missing := harness.AuditAcked(finals, []string{key}); len(missing) > 0 {
-			if lost == 0 {
-				first = key
-			}
-			lost++
-		}
-	}
-	v.Lost = lost
-	if lost > 0 {
-		v.Failures = append(v.Failures, fmt.Sprintf("acked-write loss: %d of %d acked keys missing (first: %s)",
-			lost, len(acked), first))
-	}
-	v.CheckDur = time.Since(checkStart)
-	return v, nil
-}
-
-// runSteps walks the schedule's logical clock: at each step it first
-// clears events whose window ends there, then injects events starting
-// there, then lets the cluster run for StepDur. onChurn handles
-// FaultChurn events (nil when the topology has no spare).
-func runSteps(s Schedule, cfg RunnerConfig, script *failslow.Script, envs map[string]*env.Env, onChurn func(Event)) {
 	for step := 0; step < s.Steps; step++ {
+		ph := harness.Phase{Name: fmt.Sprintf("step-%d", step), For: cfg.StepDur}
 		for _, ev := range s.Events {
-			if ev.Until == step && ev.Until > 0 {
-				for _, n := range ev.Nodes {
-					if e := envs[n]; e != nil {
-						script.Clear(e)
-					}
+			for _, n := range ev.Nodes {
+				if ev.Until == step && ev.Until > 0 {
+					ph.Do = append(ph.Do, harness.Action{Op: harness.Clear, On: harness.Role(n)})
 				}
 			}
 		}
@@ -454,187 +109,149 @@ func runSteps(s Schedule, cfg RunnerConfig, script *failslow.Script, envs map[st
 			if ev.Step != step {
 				continue
 			}
-			switch ev.Kind {
-			case FaultChurn:
-				if onChurn != nil {
-					onChurn(ev)
+			if ev.Kind == FaultChurn {
+				churn = &churnDriver{victim: ev.Nodes[0]}
+				ph.Call = churn.start
+				continue
+			}
+			for _, n := range ev.Nodes {
+				a := harness.Action{Op: harness.Inject, On: harness.Role(n), Fault: kindFault[ev.Kind], Scale: ev.Scale}
+				if ev.Kind == FaultAsym {
+					a.Op, a.Peer = harness.Asym, harness.Role(ev.Peer)
 				}
-			case FaultAsym:
-				for _, n := range ev.Nodes {
-					if e := envs[n]; e != nil {
-						script.InjectAsym(e, ev.Peer, ev.Scale)
-					}
-				}
-			default:
-				for _, n := range ev.Nodes {
-					if e := envs[n]; e != nil {
-						script.Inject(e, kindFault(ev.Kind), ev.Scale)
-					}
-				}
+				ph.Do = append(ph.Do, a)
 			}
 		}
-		clock.Precise(cfg.StepDur)
+		sc.Phases = append(sc.Phases, ph)
 	}
+	if churn != nil {
+		// Healed and quiesced first: raft promotes a learner only once it
+		// has caught up with the commit index, which a running load keeps
+		// moving.
+		sc.Phases = append(sc.Phases, harness.Phase{Name: "churn-wait",
+			Do: []harness.Action{{Op: harness.Clear}}, Call: (*harness.Live).StopLoad,
+			Until: func(*harness.Live) bool { return churn.outcome.Load() != 0 }, Timeout: churnWait + time.Second})
+	}
+	return sc, churn
 }
 
-func othersOf(names []string, skip string) []string {
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		if n != skip {
-			out = append(out, n)
+// Run executes one schedule on the harness engine and checks the run
+// invariants: the engine's closing audit (convergence, linearizability,
+// zero acked-write loss) plus the explorer's own blast-radius check.
+func Run(s Schedule, cfg RunnerConfig) (Verdict, error) {
+	if err := s.Validate(); err != nil {
+		return Verdict{}, err
+	}
+	start := time.Now()
+	sc, churn := compile(s, cfg)
+	res, err := harness.Run(sc)
+	if churn != nil {
+		churn.close()
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{Schedule: s, Spec: s.Spec(), Audit: res.Audit, Churned: churn != nil && churn.outcome.Load() == churnOK}
+	for g, c := range v.Converge {
+		if !c.Converged {
+			v.Failures = append(v.Failures, fmt.Sprintf("convergence(%s): %s", res.Groups[g].ID, c.Reason))
+		}
+	}
+
+	// Blast radius: every sentinel action must stay inside the faulted
+	// groups.
+	faulted := make(map[int]bool)
+	for _, n := range s.FaultedNodes() {
+		faulted[groupOf(n)] = true
+	}
+	for _, ev := range s.Events {
+		if ev.Kind == FaultAsym {
+			// The slow *path* implicates the receiver's group too: its
+			// leader legitimately observes slow RTTs from the source.
+			faulted[groupOf(ev.Peer)] = true
+		}
+	}
+	for g, grp := range res.Groups {
+		if actions := grp.QuarantinesEntered + grp.Transfers; s.Topo == TopoShard && !faulted[g] && actions > 0 {
+			v.Failures = append(v.Failures, fmt.Sprintf("containment: %d sentinel actions in untargeted %s", actions, grp.ID))
+		}
+	}
+	if v.Lin.Verdict == harness.LinViolation {
+		v.Failures = append(v.Failures, fmt.Sprintf("linearizability: key %q has no valid linearization", v.Lin.Key))
+	}
+	if len(v.Lost) > 0 {
+		v.Failures = append(v.Failures, fmt.Sprintf("acked-write loss: %d of %d acked keys missing (first: %s)",
+			len(v.Lost), v.Acked, v.Lost[0]))
+	}
+	v.Elapsed = time.Since(start)
+	v.Pass = len(v.Failures) == 0
+	v.Transitions = sentinelTransitions(res.Recorder.Events(), res.Start)
+	return v, nil
+}
+
+// groupOf is the index of the sharded topology's group holding node
+// sN (names are group-major; the engine has validated them).
+func groupOf(node string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(node, "s"))
+	return (n - 1) / len(shardNodes[0])
+}
+
+// TransitionKinds is the sentinel-transition coverage vocabulary, in
+// escalation order; transitionOf maps the events that witness them.
+var (
+	TransitionKinds = []string{"quarantine", "rehab", "handoff", "condemn", "replace"}
+	transitionOf    = map[obs.Type]string{
+		obs.QuarantineEnter: "quarantine", obs.QuarantineExit: "rehab", obs.HandoffStarted: "handoff",
+		obs.MemberRemoved: "condemn", obs.ReplacementCompleted: "replace",
+	}
+)
+
+// sentinelTransitions tallies which sentinel transitions the recorded
+// events show, keyed by the TransitionKinds vocabulary. Only events
+// stamped at or after start count.
+func sentinelTransitions(evs []obs.Event, start time.Time) map[string]int {
+	var out map[string]int
+	for _, ev := range evs {
+		if kind, ok := transitionOf[ev.Type]; ok && !ev.Time.Before(start) {
+			if out == nil {
+				out = map[string]int{}
+			}
+			out[kind]++
 		}
 	}
 	return out
 }
 
-// dataClient is the operation surface the audit population drives —
-// satisfied by both raft.Client and shard.Router, so the same audit
-// code covers both topologies.
-type dataClient interface {
-	Put(co *core.Coroutine, key string, value []byte) error
-	Get(co *core.Coroutine, key string) ([]byte, bool, error)
-	CAS(co *core.Coroutine, key string, expect, value []byte) (bool, []byte, error)
-}
-
-// auditors is the audit population: AuditClients register-key clients
-// whose every operation (including errored "maybe" ones) lands in the
-// shared history, plus one unique-key writer whose acknowledged keys
-// feed the write-loss audit.
-type auditors struct {
-	rts []*core.Runtime
-	eps []*rpc.Endpoint
-
-	mu    sync.Mutex
-	hist  []harness.HOp
-	acked []string
-
-	stopFlag atomic.Bool
-	wg       sync.WaitGroup
-}
-
-// record appends one completed operation to the history.
-func (a *auditors) record(op harness.HOp) {
-	a.mu.Lock()
-	a.hist = append(a.hist, op)
-	a.mu.Unlock()
-}
-
-// snapshot returns copies of the history and acked-key list.
-func (a *auditors) snapshot() ([]harness.HOp, []string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	hist := make([]harness.HOp, len(a.hist))
-	copy(hist, a.hist)
-	acked := make([]string, len(a.acked))
-	copy(acked, a.acked)
-	sort.SliceStable(hist, func(i, j int) bool { return hist[i].Call.Before(hist[j].Call) })
-	return hist, acked
-}
-
-// startAudit launches the population; mkClient builds the per-client
-// data-plane frontend (a raft client or a shard router).
-func startAudit(net *transport.Network, seed int64, cfg RunnerConfig, mkClient func(ep *rpc.Endpoint, i int) dataClient) *auditors {
-	a := &auditors{}
-	spawn := func(i int, body func(co *core.Coroutine, cl dataClient)) {
-		name := fmt.Sprintf("audit-%d", i)
-		rt := core.NewRuntime(name)
-		ep := rpc.NewEndpoint(name, rt, net, rpc.WithCallTimeout(2*time.Second))
-		net.Register(name, env.New(name, env.DefaultConfig()), ep.TransportHandler())
-		a.rts = append(a.rts, rt)
-		a.eps = append(a.eps, ep)
-		cl := mkClient(ep, i)
-		a.wg.Add(1)
-		rt.Spawn(name, func(co *core.Coroutine) {
-			defer a.wg.Done()
-			body(co, cl)
-		})
-	}
-	for i := 0; i < cfg.AuditClients; i++ {
-		ci := i
-		spawn(ci, func(co *core.Coroutine, cl dataClient) {
-			a.registerClient(co, cl, ci, seed, cfg)
-		})
-	}
-	// The unique-key writer: every acked key must survive to the end.
-	spawn(cfg.AuditClients, func(co *core.Coroutine, cl dataClient) {
-		for i := 0; !a.stopFlag.Load(); i++ {
-			key := fmt.Sprintf("u-%06d", i)
-			if err := cl.Put(co, key, []byte{byte(i), byte(i >> 8)}); err == nil {
-				a.mu.Lock()
-				a.acked = append(a.acked, key)
-				a.mu.Unlock()
-			}
+// quickRaft is the sped-up server config schedules run under: fast
+// elections and sentinel ticks so six 80ms steps see detection,
+// mitigation, and rehabilitation — or, with broken, the mis-tuned
+// sentinel whose condemned peers are never released.
+func quickRaft(broken bool) func(*raft.Config) {
+	return func(rc *raft.Config) {
+		rc.ElectionTimeoutMin = 75 * time.Millisecond
+		rc.ElectionTimeoutMax = 150 * time.Millisecond
+		rc.HeartbeatInterval = 20 * time.Millisecond
+		rc.Mitigation = true
+		rc.Mitigate.Interval = 10 * time.Millisecond
+		if broken {
+			// Hysteresis off: quarantine on the first suspect tick, declare
+			// rehabilitation after one healthy RTT, and condemn a peer
+			// after 20ms of cumulative quarantine — with no AutoReplace, a
+			// condemned peer is quarantined forever. (Zero values would be
+			// re-defaulted by mitigate.Config.WithDefaults, hence the tiny
+			// positive ones.)
+			rc.Mitigate.QuarantineAfter = 1
+			rc.Mitigate.RehabRTTs = 1
+			rc.Mitigate.MinQuarantine = time.Nanosecond
+			rc.Mitigate.SlowBudget = 20 * time.Millisecond
+			rc.Mitigate.ReplaceAfterQuarantines = 1
 		}
-	})
-	return a
-}
-
-// registerClient hammers the shared register keys with a put/get/CAS
-// mix, recording every operation's invocation window and observed
-// outcome. CAS preconditions come from the client's last observation
-// of the key, so concurrent clients genuinely race.
-func (a *auditors) registerClient(co *core.Coroutine, cl dataClient, ci int, seed int64, cfg RunnerConfig) {
-	rng := rand.New(rand.NewSource(seed*31 + int64(ci)))
-	lastSeen := make(map[string]string)
-	for i := 0; !a.stopFlag.Load(); i++ {
-		key := fmt.Sprintf("reg%d", rng.Intn(cfg.Keys))
-		val := fmt.Sprintf("c%d-%d", ci, i)
-		op := harness.HOp{Client: fmt.Sprintf("audit-%d", ci), Key: key, Call: time.Now()}
-		switch r := rng.Float64(); {
-		case r < 0.4:
-			op.Kind = harness.HPut
-			op.Value = []byte(val)
-			err := cl.Put(co, key, op.Value)
-			op.Maybe = err != nil
-			if err == nil {
-				lastSeen[key] = val
-			}
-		case r < 0.7:
-			op.Kind = harness.HGet
-			v, found, err := cl.Get(co, key)
-			op.OutFound, op.OutValue, op.Maybe = found, v, err != nil
-			if err == nil && found {
-				lastSeen[key] = string(v)
-			}
-		default:
-			op.Kind = harness.HCAS
-			op.Expect = []byte(lastSeen[key])
-			op.Value = []byte(val)
-			ok, prev, err := cl.CAS(co, key, op.Expect, op.Value)
-			op.OutFound, op.Maybe = ok, err != nil
-			if err == nil {
-				if ok {
-					lastSeen[key] = val
-				} else {
-					op.OutValue = prev
-					lastSeen[key] = string(prev)
-				}
-			}
-		}
-		op.Return = time.Now()
-		a.record(op)
 	}
 }
 
-// stopClients winds the population down, waiting briefly for in-flight
-// operations so their outcomes land in the history.
-func (a *auditors) stopClients() {
-	a.stopFlag.Store(true)
-	done := make(chan struct{})
-	go func() { a.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-	}
-}
-
-// close tears down the audit runtimes and endpoints.
-func (a *auditors) close() {
-	a.stopFlag.Store(true)
-	for i := range a.rts {
-		a.eps[i].Close()
-		a.rts[i].Stop()
-	}
+// kindFault maps schedule vocabulary onto the Table 1 catalog.
+var kindFault = map[FaultKind]failslow.Fault{
+	FaultCPU: failslow.CPUSlow, FaultDisk: failslow.DiskSlow, FaultNet: failslow.NetSlow, FaultMem: failslow.MemContention,
 }
 
 // churnDriver runs the membership change of a FaultChurn event in the
@@ -642,43 +259,55 @@ func (a *auditors) close() {
 // join the spare as a learner, promote it once caught up — all while
 // whatever faults the schedule holds are still active.
 type churnDriver struct {
-	rt   *core.Runtime
-	ep   *rpc.Endpoint
-	done chan bool
+	victim string
+	rt     *core.Runtime
+	ep     *rpc.Endpoint
+	// outcome is 0 while the change runs (or was never started), then
+	// churnOK or churnFailed; the driver enforces its own deadline.
+	outcome atomic.Int32
 }
 
-func startChurn(net *transport.Network, servers map[string]*raft.Server, spare, victim string, cfg RunnerConfig, rec *obs.Recorder) *churnDriver {
-	d := &churnDriver{done: make(chan bool, 1)}
+const churnOK, churnFailed = 1, 2
+
+// start is the churn step's phase hook: it launches the change against
+// the live deployment's single raft group and its spare.
+func (d *churnDriver) start(l *harness.Live) {
 	const name = "churn-admin"
+	net := l.Net()
 	d.rt = core.NewRuntime(name)
 	d.ep = rpc.NewEndpoint(name, d.rt, net, rpc.WithCallTimeout(2*time.Second))
 	net.Register(name, env.New(name, env.DefaultConfig()), d.ep.TransportHandler())
+	servers, spare := l.Groups()[0].Servers, l.Spare()
 	d.rt.Spawn("churn", func(co *core.Coroutine) {
-		//depfast:allow deadline-propagation single send into the driver's 1-buffered done channel: cannot block
-		d.done <- d.run(co, servers, spare, victim, cfg.ChurnWait)
+		if d.run(co, servers, spare) {
+			d.outcome.Store(churnOK)
+		} else {
+			d.outcome.Store(churnFailed)
+		}
 	})
-	return d
 }
 
 // run drives remove → add-learner → promote with per-stage retries
 // until the deadline; each stage re-discovers the leader so handoffs
-// and elections mid-churn only cost a retry.
-func (d *churnDriver) run(co *core.Coroutine, servers map[string]*raft.Server, spare, victim string, wait time.Duration) bool {
-	deadline := time.Now().Add(wait)
-	change := func(kind uint64, pick func(leader string) string) bool {
+// and elections mid-churn only cost a retry. A stage first looks at the
+// leader's membership: a change whose reply was lost (a slow quorum
+// timing the request out) has still been appended, and proposing it
+// again must not, say, remove a second voter.
+func (d *churnDriver) run(co *core.Coroutine, servers map[string]*raft.Server, spare string) bool {
+	deadline := time.Now().Add(churnWait)
+	change := func(kind uint64, next func(leader string, voters, learners []string) (node string, done bool)) bool {
 		for time.Now().Before(deadline) {
-			leader, ok := raft.AgreedLeader(servers)
-			if !ok {
-				if co.Sleep(30*time.Millisecond) != nil {
-					return false
-				}
-				continue
-			}
-			node := pick(leader)
-			ev := d.ep.Call(leader, &raft.MemberChange{Kind: kind, Node: node})
-			if co.WaitFor(ev, 2*time.Second) == core.WaitReady && ev.Err() == nil {
-				if r, _ := ev.Value().(*raft.MemberChangeReply); r != nil && r.OK {
+			if leader, ok := raft.AgreedLeader(servers); ok {
+				voters, learners := servers[leader].Members()
+				node, done := next(leader, voters, learners)
+				if done {
 					return true
+				}
+				ev := d.ep.Call(leader, &raft.MemberChange{Kind: kind, Node: node})
+				if co.WaitFor(ev, 2*time.Second) == core.WaitReady && ev.Err() == nil {
+					if r, _ := ev.Value().(*raft.MemberChangeReply); r != nil && r.OK {
+						return true
+					}
 				}
 			}
 			if co.Sleep(30*time.Millisecond) != nil {
@@ -688,38 +317,34 @@ func (d *churnDriver) run(co *core.Coroutine, servers map[string]*raft.Server, s
 		return false
 	}
 	// Removing the leader itself is refused, so a victim holding the
-	// lease is re-targeted to another voter at each attempt.
+	// lease is re-targeted to another voter — once: the choice sticks
+	// across retries unless that node takes the lease.
 	removed := ""
-	okRemove := change(raft.ConfRemove, func(leader string) string {
-		v := victim
-		if v == leader {
-			voters, _ := servers[leader].Members()
+	return change(raft.ConfRemove, func(leader string, voters, _ []string) (string, bool) {
+		if removed != "" && !slices.Contains(voters, removed) {
+			return "", true
+		}
+		if removed == "" || removed == leader {
+			removed = d.victim
 			for _, cand := range voters {
-				if cand != leader && cand != spare {
-					v = cand
-					break
+				if removed == leader && cand != leader && cand != spare {
+					removed = cand
 				}
 			}
 		}
-		removed = v
-		return v
+		return removed, false
+	}) && change(raft.ConfAddLearner, func(_ string, voters, learners []string) (string, bool) {
+		return spare, slices.Contains(voters, spare) || slices.Contains(learners, spare)
+	}) && change(raft.ConfPromote, func(_ string, voters, _ []string) (string, bool) {
+		return spare, slices.Contains(voters, spare)
 	})
-	_ = removed
-	if !okRemove {
-		return false
-	}
-	if !change(raft.ConfAddLearner, func(string) string { return spare }) {
-		return false
-	}
-	return change(raft.ConfPromote, func(string) string { return spare })
 }
 
-// wait blocks for the churn outcome (the driver enforces its own
-// deadline).
-func (d *churnDriver) wait() bool { return <-d.done }
-
-// close tears down the admin runtime.
+// close tears down the admin runtime (a no-op if the schedule never
+// reached the churn step).
 func (d *churnDriver) close() {
-	d.ep.Close()
-	d.rt.Stop()
+	if d.rt != nil {
+		d.ep.Close()
+		d.rt.Stop()
+	}
 }

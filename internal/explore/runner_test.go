@@ -1,11 +1,15 @@
 package explore
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"depfast/internal/failslow"
 	"depfast/internal/harness"
+	"depfast/internal/obs"
 )
 
 // quickCfg is the test-scale runner config: short steps, modest audit
@@ -16,7 +20,6 @@ func quickCfg() RunnerConfig {
 		AuditClients: 2,
 		Keys:         2,
 		ConvergeWait: 8 * time.Second,
-		ChurnWait:    10 * time.Second,
 	}
 }
 
@@ -183,5 +186,117 @@ func TestExploreSmallBudgetGreen(t *testing.T) {
 	}
 	if rep.SchedulesPerSec() <= 0 {
 		t.Fatalf("throughput not measured: %+v", rep)
+	}
+}
+
+// faultEvents lists a recorder's injection/clear events as "type node
+// detail" strings, in order.
+func faultEvents(rec *obs.Recorder) []string {
+	var out []string
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.FaultInjected || ev.Type == obs.FaultCleared {
+			out = append(out, strings.TrimSpace(string(ev.Type)+" "+ev.Node+" "+ev.Detail))
+		}
+	}
+	return out
+}
+
+// TestCompileMatchesHandWrittenScenario: the explorer adds nothing to
+// the engine but a compiler. A schedule and the scenario a person
+// would write for it have the same phase list, and running either
+// leaves the same injected-fault event sequence on the recorder.
+func TestCompileMatchesHandWrittenScenario(t *testing.T) {
+	s, err := Parse("seed=9 topo=raft steps=4 | disk@1 s2 x1 until=3; asym@1 s3>s1 x2; net@2 s1,s3 x0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, churn := compile(s, quickCfg())
+	if churn != nil {
+		t.Fatal("churn driver for a schedule without churn")
+	}
+	step := 50 * time.Millisecond
+	hand := harness.Scenario{
+		Seed:     9,
+		Topology: harness.Topology{Spare: true},
+		Phases: []harness.Phase{
+			{Name: "step-0", For: step},
+			{Name: "step-1", For: step, Do: []harness.Action{
+				{Op: harness.Inject, On: "s2", Fault: failslow.DiskSlow, Scale: 1},
+				{Op: harness.Asym, On: "s3", Peer: "s1", Scale: 2},
+			}},
+			{Name: "step-2", For: step, Do: []harness.Action{
+				{Op: harness.Inject, On: "s1", Fault: failslow.NetSlow, Scale: 0.5},
+				{Op: harness.Inject, On: "s3", Fault: failslow.NetSlow, Scale: 0.5},
+			}},
+			{Name: "step-3", For: step, Do: []harness.Action{{Op: harness.Clear, On: "s2"}}},
+		},
+	}
+	if len(compiled.Phases) != len(hand.Phases) {
+		t.Fatalf("compiled %d phases, hand-written %d", len(compiled.Phases), len(hand.Phases))
+	}
+	for i, ph := range compiled.Phases {
+		want := hand.Phases[i]
+		if ph.Name != want.Name || ph.For != want.For || ph.Until != nil || ph.Call != nil || !reflect.DeepEqual(ph.Do, want.Do) {
+			t.Errorf("phase %d: compiled %+v, hand-written %+v", i, ph, want)
+		}
+	}
+
+	var seqs [2][]string
+	for i, sc := range []harness.Scenario{compiled, hand} {
+		sc.Recorder = obs.NewRecorder(0)
+		sc.Topology.Raft = compiled.Topology.Raft // same sped-up servers
+		if _, err := harness.Run(sc); err != nil {
+			t.Fatal(err)
+		}
+		// The closing heal clears what is still faulted in map order.
+		seqs[i] = faultEvents(sc.Recorder)
+		sort.Strings(seqs[i][5:])
+	}
+	if len(seqs[0]) != 7 || !reflect.DeepEqual(seqs[0], seqs[1]) {
+		t.Fatalf("fault event sequences differ:\n compiled %v\n by hand  %v", seqs[0], seqs[1])
+	}
+	for i, want := range []string{
+		"fault.injected s2 Disk Slowness", "fault.injected s3 Asymmetric Network Slowness ->s1",
+		"fault.injected s1 Network Slowness", "fault.injected s3 Network Slowness", "fault.cleared s2",
+	} {
+		if seqs[0][i] != want {
+			t.Errorf("event %d = %q, want %q (all: %v)", i, seqs[0][i], want, seqs[0])
+		}
+	}
+}
+
+// TestCompileChurnAndShard: a churn event becomes a phase hook plus a
+// closing wait phase that first heals every fault; a sharded schedule
+// compiles to the 2x3 topology with no spare.
+func TestCompileChurnAndShard(t *testing.T) {
+	s := Schedule{Seed: 3, Topo: TopoRaft, Steps: 3, Events: []Event{
+		{Step: 0, Kind: FaultCPU, Nodes: []string{"s3"}, Scale: 1},
+		{Step: 1, Kind: FaultChurn, Nodes: []string{"s3"}, Scale: 1},
+	}}
+	sc, churn := compile(s, quickCfg())
+	if churn == nil || churn.victim != "s3" || sc.Phases[1].Call == nil || len(sc.Phases[1].Do) != 0 {
+		t.Fatalf("churn step not compiled to a hook: %+v", sc.Phases[1])
+	}
+	last := sc.Phases[len(sc.Phases)-1]
+	if len(sc.Phases) != 4 || last.Name != "churn-wait" || last.Until == nil || last.Call == nil ||
+		!reflect.DeepEqual(last.Do, []harness.Action{{Op: harness.Clear}}) {
+		t.Fatalf("churn wait phase: %+v", last)
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	shard, _ := compile(Schedule{Seed: 4, Topo: TopoShard, Steps: 2, Events: []Event{
+		{Step: 0, Kind: FaultDisk, Nodes: []string{"s5"}, Scale: 1}}}, quickCfg())
+	if shard.Topology.Groups != 2 || shard.Topology.Spare {
+		t.Fatalf("shard topology: %+v", shard.Topology)
+	}
+	if err := shard.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A node outside the topology is rejected, not silently skipped.
+	bad, _ := compile(Schedule{Seed: 4, Topo: TopoRaft, Steps: 2, Events: []Event{
+		{Step: 0, Kind: FaultDisk, Nodes: []string{"s7"}, Scale: 1}}}, quickCfg())
+	if err := bad.Validate(); err == nil {
+		t.Fatal("schedule naming a node outside its topology validated")
 	}
 }

@@ -2,7 +2,8 @@
 // it implements the simulated fail-slow fault catalog of Table 1 of
 // the paper (CPU slowness and contention, disk slowness and
 // contention, memory contention, network slowness) and applies faults
-// to node environments, optionally on a schedule.
+// to node environments — directly, from the stochastic RandomFaults
+// model, or step by step through a Script.
 package failslow
 
 import (
@@ -165,29 +166,4 @@ func ApplyObserved(rec *obs.Recorder, e *env.Env, f Fault, in Intensity) {
 func ClearObserved(rec *obs.Recorder, e *env.Env) {
 	Clear(e)
 	rec.Emit(obs.Event{Type: obs.FaultCleared, Node: e.Node()})
-}
-
-// Step is one timed action in an injection schedule.
-type Step struct {
-	After  time.Duration // offset from schedule start
-	Target *env.Env
-	Fault  Fault
-}
-
-// Schedule applies steps at their offsets relative to start and
-// returns a stop function that cancels pending steps. Useful for
-// transient-fault experiments (fault appears mid-run, then clears).
-func Schedule(in Intensity, steps []Step) (stop func()) {
-	timers := make([]*time.Timer, 0, len(steps))
-	for _, s := range steps {
-		s := s
-		timers = append(timers, time.AfterFunc(s.After, func() {
-			Apply(s.Target, s.Fault, in)
-		}))
-	}
-	return func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}
 }

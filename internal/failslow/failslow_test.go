@@ -118,33 +118,3 @@ func TestClear(t *testing.T) {
 		t.Fatalf("clear failed: %v vs %v", got, healthy)
 	}
 }
-
-func TestScheduleAppliesAndStops(t *testing.T) {
-	e := newEnv()
-	in := DefaultIntensity()
-	stop := Schedule(in, []Step{
-		{After: 5 * time.Millisecond, Target: e, Fault: CPUSlow},
-		{After: 80 * time.Millisecond, Target: e, Fault: None},
-	})
-	defer stop()
-	time.Sleep(40 * time.Millisecond)
-	if got := e.ComputeCost(time.Millisecond); got != 20*time.Millisecond {
-		t.Fatalf("fault not applied at t=40ms: %v", got)
-	}
-	time.Sleep(100 * time.Millisecond)
-	if got := e.ComputeCost(time.Millisecond); got != time.Millisecond {
-		t.Fatalf("fault not cleared at t=140ms: %v", got)
-	}
-}
-
-func TestScheduleStopCancelsPending(t *testing.T) {
-	e := newEnv()
-	stop := Schedule(DefaultIntensity(), []Step{
-		{After: 50 * time.Millisecond, Target: e, Fault: CPUSlow},
-	})
-	stop()
-	time.Sleep(70 * time.Millisecond)
-	if got := e.ComputeCost(time.Millisecond); got != time.Millisecond {
-		t.Fatalf("cancelled step still applied: %v", got)
-	}
-}

@@ -2,236 +2,70 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
-	"depfast/internal/core"
 	"depfast/internal/env"
 	"depfast/internal/failslow"
-	"depfast/internal/kv"
-	"depfast/internal/raft"
-	"depfast/internal/rpc"
-	"depfast/internal/shard"
-	"depfast/internal/trace"
-	"depfast/internal/transport"
-	"depfast/internal/ycsb"
 )
 
-// FigureCell is one (system, fault) measurement with its
-// normalization against the same system's no-fault baseline.
-type FigureCell struct {
-	Result   RunResult
-	NormTput float64 // faulted / baseline (1.0 = no change)
-	NormMean float64
-	NormP99  float64
-}
-
-// FigureResult is a complete figure's data.
-type FigureResult struct {
-	Title string
-	// Groups maps a group label (system or node-count) to its cells in
-	// fault order; Order preserves group ordering.
-	Order  []string
-	Groups map[string][]FigureCell
-}
-
-// Render formats the figure as the three panels of the paper: (a)
-// throughput, (b) average latency, (c) P99 latency — normalized for
-// Figure 1 and absolute for Figure 3.
-func (f *FigureResult) Render(normalized bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", f.Title)
+// figureReport cuts a paper figure — groups (systems or node counts) by
+// condition (fault, or fault magnitude) — from group-major results,
+// each group's no-fault cell first, and renders the paper's three
+// panels: (a) throughput, (b) average latency, (c) P99 latency,
+// normalized to the group's no-fault cell for Figure 1 and absolute for
+// Figure 3. Each group's max drift is the largest relative deviation
+// from that cell across all three metrics — the paper's "within 5%"
+// claim for DepFastRaft.
+func figureReport(title string, groups, conditions []string, rs []Result, normalized bool, note string) Report {
 	panels := []struct {
 		name string
-		get  func(FigureCell) string
+		val  func(Stats) float64
+		abs  func(Stats) string
 	}{
-		{"(a) Throughput", func(c FigureCell) string {
-			if normalized {
-				return fmt.Sprintf("%7.2fx", c.NormTput)
-			}
-			return fmt.Sprintf("%7.0f/s", c.Result.Throughput)
-		}},
-		{"(b) Average Latency", func(c FigureCell) string {
-			if normalized {
-				return fmt.Sprintf("%7.2fx", c.NormMean)
-			}
-			return fmt.Sprintf("%9v", c.Result.Mean.Round(10*time.Microsecond))
-		}},
-		{"(c) P99 Latency", func(c FigureCell) string {
-			if normalized {
-				return fmt.Sprintf("%7.2fx", c.NormP99)
-			}
-			return fmt.Sprintf("%9v", c.Result.P99.Round(10*time.Microsecond))
-		}},
+		{"(a) Throughput", func(s Stats) float64 { return s.Tput },
+			func(s Stats) string { return fmt.Sprintf("%7.0f/s", s.Tput) }},
+		{"(b) Average Latency", func(s Stats) float64 { return float64(s.Mean) },
+			func(s Stats) string { return fmt.Sprintf("%9v", s.Mean.Round(10*time.Microsecond)) }},
+		{"(c) P99 Latency", func(s Stats) float64 { return float64(s.P99) },
+			func(s Stats) string { return fmt.Sprintf("%9v", s.P99.Round(10*time.Microsecond)) }},
 	}
+	cell := func(g, c int) Result { return rs[g*len(conditions)+c] }
+	rep := Report{Derived: map[string]float64{}}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", title)
 	for _, panel := range panels {
-		fmt.Fprintf(&b, "\n%s\n", panel.name)
-		fmt.Fprintf(&b, "%-22s", "fault \\ group")
-		for _, g := range f.Order {
+		fmt.Fprintf(&b, "\n%s\n%-22s", panel.name, "condition \\ group")
+		for _, g := range groups {
 			fmt.Fprintf(&b, " %12s", g)
 		}
-		b.WriteString("\n")
-		if len(f.Order) == 0 {
-			continue
-		}
-		nFaults := len(f.Groups[f.Order[0]])
-		for fi := 0; fi < nFaults; fi++ {
-			fmt.Fprintf(&b, "%-22s", f.Groups[f.Order[0]][fi].Result.Fault.String())
-			for _, g := range f.Order {
-				cell := f.Groups[g][fi]
-				val := panel.get(cell)
-				if cell.Result.LeaderCrashed {
-					val += "!"
+		for f, condition := range conditions {
+			fmt.Fprintf(&b, "\n%-22s", condition)
+			for g, name := range groups {
+				m := cell(g, f).Phase("measure").All
+				norm := ratio(panel.val(m), panel.val(cell(g, 0).Phase("measure").All))
+				if d := math.Abs(norm - 1); norm > 0 && d > rep.Derived["max_drift/"+name] {
+					rep.Derived["max_drift/"+name] = d
 				}
-				fmt.Fprintf(&b, " %12s", val)
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
-}
-
-// normalizeAgainst fills the cells' normalized fields using base.
-func normalizeAgainst(base RunResult, cells []FigureCell) {
-	for i := range cells {
-		r := cells[i].Result
-		if base.Throughput > 0 {
-			cells[i].NormTput = r.Throughput / base.Throughput
-		}
-		if base.Mean > 0 {
-			cells[i].NormMean = float64(r.Mean) / float64(base.Mean)
-		}
-		if base.P99 > 0 {
-			cells[i].NormP99 = float64(r.P99) / float64(base.P99)
-		}
-	}
-}
-
-// ExperimentConfig shapes a whole figure run.
-type ExperimentConfig struct {
-	Duration time.Duration
-	Warmup   time.Duration
-	Clients  int
-	Records  int
-	Faults   []failslow.Fault
-	Seed     int64
-	// Progress, if set, receives one line per completed run.
-	Progress func(string)
-}
-
-// DefaultExperimentConfig returns seconds-scale settings.
-func DefaultExperimentConfig() ExperimentConfig {
-	return ExperimentConfig{
-		Duration: 3 * time.Second,
-		Warmup:   750 * time.Millisecond,
-		Clients:  24,
-		Records:  2000,
-		Faults:   failslow.All,
-		Seed:     42,
-	}
-}
-
-func (e ExperimentConfig) progress(format string, args ...interface{}) {
-	if e.Progress != nil {
-		e.Progress(fmt.Sprintf(format, args...))
-	}
-}
-
-// Figure1 reproduces the paper's Figure 1: the three baseline RSMs,
-// three-node deployments, one fail-slow follower, all fault types,
-// normalized to each system's own no-fault run.
-func Figure1(ecfg ExperimentConfig) (*FigureResult, error) {
-	fig := &FigureResult{
-		Title:  "Figure 1: baseline RSMs, 3 nodes, 1 fail-slow follower (normalized)",
-		Groups: make(map[string][]FigureCell),
-	}
-	for _, sys := range Baselines {
-		var base RunResult
-		var cells []FigureCell
-		for _, fault := range ecfg.Faults {
-			cfg := DefaultRunConfig(sys)
-			cfg.Duration = ecfg.Duration
-			cfg.Warmup = ecfg.Warmup
-			cfg.Clients = ecfg.Clients
-			cfg.Records = ecfg.Records
-			cfg.Fault = fault
-			cfg.Seed = ecfg.Seed
-			res, err := RunStable(cfg, 3)
-			if err != nil {
-				return nil, fmt.Errorf("figure1 %v/%v: %w", sys, fault, err)
-			}
-			ecfg.progress("%s", res)
-			if fault == failslow.None {
-				base = res
-			}
-			cells = append(cells, FigureCell{Result: res})
-		}
-		normalizeAgainst(base, cells)
-		fig.Order = append(fig.Order, sys.String())
-		fig.Groups[sys.String()] = cells
-	}
-	return fig, nil
-}
-
-// Figure3 reproduces the paper's Figure 3: DepFastRaft under 3- and
-// 5-node deployments with a minority of fail-slow followers, absolute
-// throughput and latency.
-func Figure3(ecfg ExperimentConfig) (*FigureResult, error) {
-	fig := &FigureResult{
-		Title:  "Figure 3: DepFastRaft, minority fail-slow followers (absolute)",
-		Groups: make(map[string][]FigureCell),
-	}
-	for _, nodes := range []int{3, 5} {
-		var base RunResult
-		var cells []FigureCell
-		for _, fault := range ecfg.Faults {
-			cfg := DefaultRunConfig(DepFastRaft)
-			cfg.Nodes = nodes
-			cfg.FaultFollowers = (nodes - 1) / 2 // a minority of followers
-			cfg.Duration = ecfg.Duration
-			cfg.Warmup = ecfg.Warmup
-			cfg.Clients = ecfg.Clients
-			cfg.Records = ecfg.Records
-			cfg.Fault = fault
-			cfg.Seed = ecfg.Seed
-			res, err := RunStable(cfg, 3)
-			if err != nil {
-				return nil, fmt.Errorf("figure3 %d/%v: %w", nodes, fault, err)
-			}
-			ecfg.progress("%s", res)
-			if fault == failslow.None {
-				base = res
-			}
-			cells = append(cells, FigureCell{Result: res})
-		}
-		normalizeAgainst(base, cells)
-		label := fmt.Sprintf("%d Nodes", nodes)
-		fig.Order = append(fig.Order, label)
-		fig.Groups[label] = cells
-	}
-	return fig, nil
-}
-
-// MaxDrift returns the largest relative deviation from 1.0 across all
-// normalized metrics of a figure group — the paper's "within 5%"
-// claim for DepFastRaft.
-func (f *FigureResult) MaxDrift(group string) float64 {
-	max := 0.0
-	for _, c := range f.Groups[group] {
-		for _, v := range []float64{c.NormTput, c.NormMean, c.NormP99} {
-			if v == 0 {
-				continue
-			}
-			d := v - 1
-			if d < 0 {
-				d = -d
-			}
-			if d > max {
-				max = d
+				text := panel.abs(m)
+				if normalized {
+					text = fmt.Sprintf("%7.2fx", norm)
+				}
+				if cell(g, f).LeaderCrashed {
+					text += "!"
+				}
+				fmt.Fprintf(&b, " %12s", text)
 			}
 		}
+		b.WriteString("\n")
 	}
-	return max
+	b.WriteString("\n")
+	for _, name := range groups {
+		fmt.Fprintf(&b, "max drift %-12s: %5.1f%%%s\n", name, rep.Derived["max_drift/"+name]*100, note)
+	}
+	rep.Text = b.String()
+	return rep
 }
 
 // Table1Row is one fault-catalog entry with its measured effect.
@@ -247,7 +81,7 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1: the simulated fault catalog,
 // with the measured stretch each fault applies to the affected
 // resource (the cgroup/tc substitution made concrete).
-func Table1(in failslow.Intensity) []Table1Row {
+func Table1() []Table1Row {
 	rows := make([]Table1Row, 0, len(failslow.All))
 	for _, f := range failslow.All {
 		probe := env.New("probe", env.DefaultConfig())
@@ -255,7 +89,7 @@ func Table1(in failslow.Intensity) []Table1Row {
 		healthyDisk := probe.DiskWriteCost(4096)
 		healthyNet := probe.NetDelay()
 
-		failslow.Apply(probe, f, in)
+		failslow.Apply(probe, f, failslow.DefaultIntensity())
 		if f == failslow.MemContention {
 			probe.TrackAlloc(64 << 20) // representative resident set
 		}
@@ -288,74 +122,4 @@ func RenderTable1(rows []Table1Row) string {
 			r.Fault, r.ComputeFactor, r.DiskFactor, r.NetFactor, r.Injection)
 	}
 	return b.String()
-}
-
-// Figure2 reproduces the paper's Figure 2: a three-shard DepFastRaft
-// deployment (s1–s9) with three clients (c1–c3), traced, returning
-// the slowness propagation graph. Intra-quorum edges come out green
-// (2/3) and client→leader edges red (1/1). The deployment is built
-// through shard.Cluster — the same construction path the containment
-// experiments use — with the layout and seeds the figure has always
-// had.
-func Figure2(duration time.Duration, opsPerClient int) (*trace.SPG, *trace.Collector, error) {
-	collector := trace.NewCollector(0)
-	net := transport.NewNetwork()
-	defer net.Close()
-	ecfg := env.DefaultConfig()
-
-	smap := shard.NewMap(shard.NewHashPartitioner(3), 3)
-	cluster := shard.NewCluster(shard.ClusterConfig{
-		Map:         smap,
-		Seed:        func(g, i int) int64 { return int64(g*100 + i) },
-		RuntimeOpts: []core.Option{core.WithTracer(collector)},
-	}, net)
-	cluster.Start()
-	defer cluster.Stop()
-
-	// One client per shard.
-	done := make(chan error, 3)
-	var rts []*core.Runtime
-	var eps []*rpc.Endpoint
-	for g := 0; g < smap.Groups(); g++ {
-		name := fmt.Sprintf("c%d", g+1)
-		rt := core.NewRuntime(name, core.WithTracer(collector))
-		ep := rpc.NewEndpoint(name, rt, net, rpc.WithCallTimeout(3*time.Second))
-		net.Register(name, env.New(name, ecfg), ep.TransportHandler())
-		rts = append(rts, rt)
-		eps = append(eps, ep)
-		names := smap.Replicas(g)
-		g := g
-		rt.Spawn("client", func(co *core.Coroutine) {
-			cl := raft.NewClient(uint64(g+1), ep, names, 3*time.Second)
-			gen := ycsb.NewGenerator(ycsb.PaperWrite(500, 64), int64(g))
-			deadline := time.Now().Add(duration)
-			for i := 0; i < opsPerClient && time.Now().Before(deadline); i++ {
-				op := gen.Next()
-				if _, err := cl.Do(co, kv.Command{Op: kv.OpPut, Key: op.Key, Value: op.Value}); err != nil {
-					//depfast:allow deadline-propagation one send per client into a channel buffered for all clients: cannot block
-					done <- err
-					return
-				}
-			}
-			//depfast:allow deadline-propagation one send per client into a channel buffered for all clients: cannot block
-			done <- nil
-		})
-	}
-	defer func() {
-		for i := range rts {
-			eps[i].Close()
-			rts[i].Stop()
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				return nil, nil, fmt.Errorf("figure2 client: %w", err)
-			}
-		case <-time.After(duration + 30*time.Second):
-			return nil, nil, fmt.Errorf("figure2: clients hung")
-		}
-	}
-	return trace.BuildSPG(collector.Records()), collector, nil
 }

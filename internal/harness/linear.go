@@ -1,89 +1,18 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
-
-	"depfast/internal/trace"
 )
 
-// VerifyResult is the runtime-verification outcome for one system.
-type VerifyResult struct {
-	System      System
-	WaitRecords int
-	QuorumEdges int
-	RedEdges    int
-	Violations  int
-	Pass        bool
-	HotPeers    []trace.PeerWait
-}
-
-// VerifySystems runs a traced measurement per system and applies the
-// fail-slow-tolerance verifier — the paper's claim that the
-// discipline can be checked mechanically. DepFastRaft passes;
-// CallbackRSM fails on its all-replica flow-control wait. (SyncRSM's
-// pathology — synchronous disk reads on the region thread — bypasses
-// the event abstraction entirely and is therefore *invisible* to
-// event-based verification: the strongest argument the paper makes
-// for routing every wait through an event.)
-func VerifySystems(ecfg ExperimentConfig, systems []System) ([]VerifyResult, error) {
-	var out []VerifyResult
-	for _, sys := range systems {
-		cfg := DefaultRunConfig(sys)
-		cfg.Duration = ecfg.Duration
-		cfg.Warmup = ecfg.Warmup
-		cfg.Clients = ecfg.Clients
-		cfg.Records = ecfg.Records
-		cfg.Traced = true
-		res, err := Run(cfg)
-		if err != nil {
-			return out, fmt.Errorf("verify %v: %w", sys, err)
-		}
-		records := res.Collector.Records()
-		g := trace.BuildSPG(records)
-		viol := trace.Verify(records, trace.VerifyConfig{AllowClientPrefix: "client"})
-		vr := VerifyResult{
-			System:      sys,
-			WaitRecords: len(records),
-			QuorumEdges: len(g.QuorumEdges()),
-			RedEdges:    len(g.SingularEdges()),
-			Violations:  len(viol),
-			Pass:        len(viol) == 0,
-			HotPeers:    trace.HotPeers(records),
-		}
-		ecfg.progress("verify %v: records=%d violations=%d", sys, vr.WaitRecords, vr.Violations)
-		out = append(out, vr)
-	}
-	return out, nil
-}
-
-// RenderVerify formats verification results.
-func RenderVerify(results []VerifyResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %10s %8s %8s %10s  %s\n",
-		"SYSTEM", "WAITS", "GREEN", "RED", "VIOLATIONS", "VERDICT")
-	for _, r := range results {
-		verdict := "FAIL"
-		if r.Pass {
-			verdict = "PASS"
-		}
-		fmt.Fprintf(&b, "%-12s %10d %8d %8d %10d  %s\n",
-			r.System, r.WaitRecords, r.QuorumEdges, r.RedEdges, r.Violations, verdict)
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------
 // Linearizability of acknowledged client operations.
 //
-// The wait verifier above checks the *discipline* (every wait is a
-// quorum wait); the checker below checks the *outcome*: that the
-// acknowledged operations of a run form a linearizable history over
-// per-key registers. The schedule explorer asserts this after every
-// fault schedule — a fail-slow mitigation that reorders, drops, or
+// The wait verifier (trace.Verify, the "verify" row) checks the
+// *discipline* — every wait is a quorum wait; the checker below checks
+// the *outcome*: that the acknowledged operations of a run form a
+// linearizable history over per-key registers. Every run's closing
+// audit asserts it — a fail-slow mitigation that reorders, drops, or
 // double-applies an acked write shows up here even when every
 // individual component looks healthy.
 
@@ -142,6 +71,9 @@ func (v LinVerdict) String() string {
 	}
 	return "unknown"
 }
+
+// MarshalText renders the verdict by name in JSON artifacts.
+func (v LinVerdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
 
 // LinReport is the result of CheckLinearizable.
 type LinReport struct {

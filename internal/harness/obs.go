@@ -1,102 +1,64 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"depfast/internal/metrics"
 	"depfast/internal/obs"
-	"depfast/internal/trace"
 	"depfast/internal/xtrace"
 )
 
-// gaugeInterval is the flight-recorder sampling cadence. 100ms is
-// fine enough that the report analyzer's sustained-recovery rule (a
-// few consecutive samples) still answers in sub-second resolution.
-const gaugeInterval = 100 * time.Millisecond
+// attributionEvery is the gauge samples per attribution sample.
+const attributionEvery = 10
 
-// spgEvery emits one SPG snapshot per this many gauge samples.
-const spgEvery = 10
-
-// startSampler launches the flight-recorder gauge sampler: every
-// gaugeInterval it emits one GaugeSample with the client pool's
-// observed throughput and latency percentiles over that interval plus
-// the cluster's current quarantine size, and — when a trace collector
-// is attached — periodically folds the wait records into an SPG
-// snapshot event. Returns a stop function; a nil recorder yields a
-// no-op.
-func startSampler(rec *obs.Recorder, pool *clientPool, h *clusterHandle, collector *trace.Collector, xcol *xtrace.Collector) (stop func()) {
-	if rec == nil {
-		return func() {}
-	}
+// startSampler launches the flight-recorder gauge sampler: it
+// publishes every completed timeline slice as one GaugeSample per
+// group (on the group's recorder, so a sharded run's samples carry the
+// shard tag) —
+// the slice's throughput and latency percentiles plus the group's
+// current quarantine size — and, with a trace collector attached,
+// periodically folds the critical-path blame table into an attribution
+// sample. Returns a stop function.
+func startSampler(sc Scenario, pop *population, d *deployment) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	next := 0 // first slice not yet published
+	publish := func() {
+		for t0 := pop.tl.t0; next < sliceEnd(time.Since(t0)); next++ {
+			for g, grp := range d.groups {
+				w := pop.tl.window(next, next+1, g)
+				grp.Recorder.Emit(obs.Event{Type: obs.GaugeSample, Node: "harness",
+					Time: t0.Add(time.Duration(next+1) * sliceWidth),
+					Fields: map[string]float64{
+						"rate":        w.All.Tput,
+						"p50_us":      float64(w.All.P50.Microseconds()),
+						"p99_us":      float64(w.All.P99.Microseconds()),
+						"errors":      float64(w.Errs),
+						"quarantined": float64(sentinelOf(grp).Quarantined),
+					}})
+			}
+			if sc.XTracer != nil && next%attributionEvery == attributionEvery-1 {
+				emitAttributionSample(sc.Recorder, sc.XTracer)
+			}
+		}
+	}
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(gaugeInterval)
+		tick := time.NewTicker(sliceWidth)
 		defer tick.Stop()
-		ticks := 0
 		for {
 			select {
 			case <-done:
+				publish() // the slices completed since the last tick
 				return
 			case <-tick.C:
-				ws := pool.tput.Sample()
-				fields := map[string]float64{"rate": ws.Rate}
-				if oh := pool.obsHist.Swap(metrics.NewHistogram()); oh != nil {
-					snap := oh.Snapshot()
-					fields["p50_us"] = float64(snap.P50.Microseconds())
-					fields["p99_us"] = float64(snap.P99.Microseconds())
-				}
-				quar := 0
-				for _, s := range h.raftServers {
-					quar += len(s.Quarantined())
-				}
-				fields["quarantined"] = float64(quar)
-				fields["errors"] = float64(pool.errs.Load())
-				rec.Emit(obs.Event{Type: obs.GaugeSample, Node: "harness", Fields: fields})
-				ticks++
-				if collector != nil && ticks%spgEvery == 0 {
-					emitSPGSnapshot(rec, collector)
-				}
-				if xcol != nil && ticks%spgEvery == 0 {
-					emitAttributionSample(rec, xcol)
-				}
+				publish()
 			}
 		}
 	}()
 	var once sync.Once
 	return func() { once.Do(func() { close(done); wg.Wait() }) }
-}
-
-// emitSPGSnapshot summarizes the collector's current wait records as
-// a slowness-propagation-graph event: graph size, record volume, and
-// the hottest edge by accumulated wait (where slowness is flowing
-// right now).
-func emitSPGSnapshot(rec *obs.Recorder, collector *trace.Collector) {
-	records := collector.Records()
-	if len(records) == 0 {
-		return
-	}
-	g := trace.BuildSPG(records)
-	var hot string
-	var hotWait time.Duration
-	for k, e := range g.Edges {
-		if e.TotalWait > hotWait {
-			hotWait = e.TotalWait
-			hot = fmt.Sprintf("%s->%s %d/%d", k.From, k.To, k.Quorum, k.Total)
-		}
-	}
-	rec.Emit(obs.Event{Type: obs.SPGSnapshot, Node: "harness", Detail: hot,
-		Fields: map[string]float64{
-			"nodes":       float64(len(g.Nodes)),
-			"edges":       float64(len(g.Edges)),
-			"records":     float64(len(records)),
-			"dropped":     float64(collector.Dropped()),
-			"hot_wait_us": float64(hotWait.Microseconds()),
-		}})
 }
 
 // emitAttributionSample folds the trace collector's current
@@ -122,9 +84,4 @@ func emitAttributionSample(rec *obs.Recorder, col *xtrace.Collector) {
 	top := att.Top()
 	rec.Emit(obs.Event{Type: obs.AttributionSample, Node: "harness",
 		Detail: top.Node + "/" + string(top.Res), Fields: fields})
-}
-
-// phase stamps a named experiment-phase marker onto the recorder.
-func phase(rec *obs.Recorder, name string) {
-	rec.Emit(obs.Event{Type: obs.Phase, Node: "harness", Detail: name})
 }
