@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench examples figures loc verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-quick bench-diff hedge-smoke clean
+.PHONY: all check build vet test race bench bench-core examples figures loc verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-quick bench-diff hedge-smoke clean
 
 all: check
 
@@ -36,20 +36,29 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# The runtime's microbenchmarks (coroutine wake-up, quorum event,
+# dispatch at run-queue depth 1/256, wake-to-run behind 256 queued
+# spawns) as a smoke: they run, not what they measure.
+bench-core:
+	$(GO) test -run '^$$' -bench . -benchtime 100ms ./internal/core
+
 # Regenerate the paper's evaluation from the CLI (a few minutes).
 figures:
 	$(GO) run ./cmd/depfast-bench -exp all
 
-# Non-test line counts of the experiment layer. harness+explore is a
-# ratchet like lint-baseline.json: it may shrink, never grow past what
-# the last PR landed.
+# Non-test line counts of the experiment layer and of raft. Both are
+# ratchets like lint-baseline.json: they may shrink, never grow past
+# what the last PR landed.
 LOC_MAX = 3700
+RAFT_MAX = 4580
 nontest = $$(ls $(1)/*.go | grep -v _test.go | xargs cat | wc -l)
 loc:
-	@h=$(call nontest,internal/harness); e=$(call nontest,internal/explore); \
+	@h=$(call nontest,internal/harness); e=$(call nontest,internal/explore); r=$(call nontest,internal/raft); \
 	echo "internal/harness $$h"; echo "internal/explore $$e"; \
 	echo "cmd/depfast-bench $(call nontest,cmd/depfast-bench)"; \
-	echo "harness+explore $$((h+e)) (ratchet $(LOC_MAX))"; test $$((h+e)) -le $(LOC_MAX)
+	echo "harness+explore $$((h+e)) (ratchet $(LOC_MAX))"; \
+	echo "internal/raft $$r (ratchet $(RAFT_MAX))"; \
+	test $$((h+e)) -le $(LOC_MAX) && test $$r -le $(RAFT_MAX)
 
 # Every row of the experiment table (internal/harness/rows.go) is a
 # smoke: `make smoke-shard`, `make smoke-hedge`, ... run it in its quick

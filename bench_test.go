@@ -351,61 +351,6 @@ func BenchmarkIntensitySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkCoroutineOverhead measures the cost of the DepFast
-// programming model itself: one event signal + coroutine wakeup per
-// iteration, compared against a raw channel ping-pong baseline.
-func BenchmarkCoroutineOverhead(b *testing.B) {
-	b.Run("event-wakeup", func(b *testing.B) {
-		rt := core.NewRuntime("bench")
-		defer rt.Stop()
-		done := make(chan struct{})
-		rt.Spawn("waiter", func(co *core.Coroutine) {
-			defer close(done)
-			for i := 0; i < b.N; i++ {
-				sig := core.NewSignalEvent()
-				co.Runtime().Spawn("setter", func(sc *core.Coroutine) { sig.Set() })
-				if err := co.Wait(sig); err != nil {
-					return
-				}
-			}
-		})
-		<-done
-	})
-	b.Run("raw-channel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ch := make(chan struct{})
-			go func() { close(ch) }()
-			<-ch
-		}
-	})
-}
-
-// BenchmarkQuorumEventThroughput measures pure quorum-event machinery:
-// building a 2-of-3 quorum and firing it.
-func BenchmarkQuorumEventThroughput(b *testing.B) {
-	rt := core.NewRuntime("bench")
-	defer rt.Stop()
-	done := make(chan struct{})
-	rt.Spawn("driver", func(co *core.Coroutine) {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			q := core.NewQuorumEvent(3, 2)
-			evs := [3]*core.ResultEvent{}
-			for j := range evs {
-				evs[j] = core.NewResultEvent("rpc", "p")
-				q.AddJudged(evs[j], nil)
-			}
-			evs[0].Fire("ok", nil)
-			evs[1].Fire("ok", nil)
-			if !q.Ready() {
-				b.Error("quorum not ready")
-				return
-			}
-		}
-	})
-	<-done
-}
-
 // BenchmarkEndToEndPut measures single-client put latency through a
 // full in-memory 3-node cluster (closed loop, b.N puts).
 func BenchmarkEndToEndPut(b *testing.B) {

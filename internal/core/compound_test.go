@@ -415,7 +415,7 @@ func TestQuorumSharedWaitReshapedAtFanOut(t *testing.T) {
 				if mc.WaitQuorum(q, 5*time.Second) == QuorumOK {
 					woke <- i
 				}
-			})
+			}, time.Now())
 		}
 		_ = co.Sleep(2 * time.Millisecond) // the members are parked
 		q.Reshape(3, 2)

@@ -19,6 +19,8 @@ type Coroutine struct {
 
 	waitGen      uint64 // incremented when a wait completes; invalidates timers
 	wakeTimedOut bool   // set by a timeout timer before waking the coroutine
+
+	readyAt, runAt time.Time // last entered the run queue / last given the baton
 }
 
 // ID returns the coroutine's runtime-unique id.
@@ -29,6 +31,13 @@ func (co *Coroutine) Name() string { return co.name }
 
 // Runtime returns the owning runtime.
 func (co *Coroutine) Runtime() *Runtime { return co.rt }
+
+// ReadyAt is when the coroutine last became runnable: Spawn was called,
+// an event it waited on fired, its timer expired, or it yielded. RunAt
+// is when it was then given the baton, so RunAt().Sub(ReadyAt()) is the
+// run-queue wait that preceded the code now running.
+func (co *Coroutine) ReadyAt() time.Time { return co.readyAt }
+func (co *Coroutine) RunAt() time.Time   { return co.runAt }
 
 // park yields the baton and blocks until the scheduler resumes us.
 func (co *Coroutine) park() {
@@ -41,7 +50,8 @@ func (co *Coroutine) park() {
 // coroutines run first. Returns ErrStopped during shutdown.
 func (co *Coroutine) Yield() error {
 	co.queued = true
-	co.rt.ready = append(co.rt.ready, co)
+	co.readyAt = time.Now()
+	co.rt.fifo.PushBack(co)
 	co.rt.yielded <- struct{}{}
 	<-co.resume
 	if co.stopKill {
@@ -132,7 +142,7 @@ func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc Event) Wa
 			co.rt.addTimer(deadline, func() {
 				if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
 					co.wakeTimedOut = true
-					co.rt.makeReady(co)
+					co.rt.makeReady(co, false)
 				}
 			})
 		}
@@ -169,7 +179,7 @@ func (co *Coroutine) Sleep(d time.Duration) error {
 		gen := co.waitGen
 		co.rt.addTimer(deadline, func() {
 			if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
-				co.rt.makeReady(co)
+				co.rt.makeReady(co, false)
 			}
 		})
 		co.park()

@@ -70,11 +70,11 @@ func (b *baseEvent) addParent(p compound) {
 	b.parents = append(b.parents, p)
 }
 
-// wake moves all current waiters to the ready queue and notifies
-// parent compound events that self fired.
+// wake moves all current waiters to the run queue's woken class and
+// notifies parent compound events that self fired.
 func (b *baseEvent) wake(self Event) {
 	for _, co := range b.waiters {
-		co.rt.makeReady(co)
+		co.rt.makeReady(co, true)
 	}
 	b.waiters = b.waiters[:0]
 	for _, p := range b.parents {

@@ -7,7 +7,7 @@ import "time"
 // queue-plus-signal pattern that message-loop designs hand-roll (the
 // SyncRSM baseline's region thread is the cautionary version).
 type Queue[T any] struct {
-	items []T
+	items Deque[T]
 	sig   *SignalEvent
 }
 
@@ -18,22 +18,12 @@ func NewQueue[T any]() *Queue[T] {
 
 // Push appends v and wakes one round of waiters. Baton context only.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.PushBack(v)
 	q.sig.Set()
 }
 
 // TryPop removes the head if present.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
-	return v, true
-}
+func (q *Queue[T]) TryPop() (T, bool) { return q.items.PopFront() }
 
 // PopWait blocks the coroutine until an item is available. Returns
 // ErrStopped on shutdown.
@@ -54,10 +44,8 @@ func (q *Queue[T]) PopWait(co *Coroutine) (T, error) {
 // and returns everything queued — the batch-consumption pattern.
 func (q *Queue[T]) DrainWait(co *Coroutine) ([]T, error) {
 	for {
-		if len(q.items) > 0 {
-			out := q.items
-			q.items = nil
-			return out, nil
+		if q.items.Len() > 0 {
+			return q.items.Drain(), nil
 		}
 		q.sig = NewSignalEvent()
 		if err := co.Wait(q.sig); err != nil {
@@ -73,10 +61,8 @@ func (q *Queue[T]) DrainWait(co *Coroutine) ([]T, error) {
 func (q *Queue[T]) DrainWaitTimeout(co *Coroutine, timeout time.Duration) ([]T, WaitResult) {
 	deadline := time.Now().Add(timeout)
 	for {
-		if len(q.items) > 0 {
-			out := q.items
-			q.items = nil
-			return out, WaitReady
+		if q.items.Len() > 0 {
+			return q.items.Drain(), WaitReady
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -93,4 +79,4 @@ func (q *Queue[T]) DrainWaitTimeout(co *Coroutine, timeout time.Duration) ([]T, 
 }
 
 // Len returns the queued item count.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }

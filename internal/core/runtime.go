@@ -16,6 +16,21 @@
 // event loop + I/O helper threads design in the paper. External
 // completions (RPC replies, disk flushes, timers) enter through
 // Runtime.Post and are applied on the scheduler goroutine.
+//
+// # Scheduling order
+//
+// The run queue has two classes. A coroutine woken because an event it
+// waited on became ready (quorum met, fsync done, RPC reply) runs before
+// any coroutine that has not started yet: the work it carries was
+// admitted a queue pass ago, and making it wait a second pass behind new
+// arrivals is a wait point the programming model would otherwise put
+// back after QuorumEvent removed it. Fresh spawns, Yield and timer
+// wake-ups (Sleep, wait time-outs) share one FIFO behind the woken
+// class, so every timer-paced loop keeps the cadence under load it had
+// with a single queue. The bypass is bounded by construction: a
+// scheduler round runs the woken class as it stood when the round began
+// and then one coroutine of the FIFO class, so coroutines that wake each
+// other forever still let a new request or a timer through every round.
 package core
 
 import (
@@ -58,9 +73,17 @@ type Runtime struct {
 	tracer Tracer
 
 	post    chan func()
-	ready   []*Coroutine
 	timers  timerHeap
 	yielded chan struct{}
+
+	// The run queue (see "Scheduling order" above). wokenLeft is how
+	// many of the woken class the current round may still run; inRound
+	// is false between a round's FIFO turn and the next snapshot.
+	woken     Deque[*Coroutine]
+	fifo      Deque[*Coroutine]
+	wokenLeft int
+	inRound   bool
+	now       time.Time // the loop's latest clock read
 
 	done     chan struct{} // closed when the loop exits
 	stopping atomic.Bool
@@ -138,18 +161,22 @@ func (rt *Runtime) Spawn(name string, fn func(co *Coroutine)) bool {
 		return false
 	}
 	rt.spawnedTotal.Add(1)
-	rt.Post(func() { rt.spawnLocked(name, fn) })
+	at := time.Now()
+	rt.Post(func() { rt.spawnLocked(name, fn, at) })
 	return true
 }
 
-// spawnLocked creates the coroutine; scheduler context only.
-func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine)) {
+// spawnLocked creates the coroutine, ready since at; scheduler context
+// only.
+func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine), at time.Time) {
 	rt.nextCoID++
 	co := &Coroutine{
-		id:     rt.nextCoID,
-		name:   name,
-		rt:     rt,
-		resume: make(chan struct{}),
+		id:      rt.nextCoID,
+		name:    name,
+		rt:      rt,
+		resume:  make(chan struct{}),
+		queued:  true,
+		readyAt: at,
 	}
 	rt.live++
 	go func() {
@@ -168,7 +195,7 @@ func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine)) {
 		}()
 		fn(co)
 	}()
-	rt.ready = append(rt.ready, co)
+	rt.fifo.PushBack(co)
 }
 
 // Stop shuts the runtime down: parked coroutines are woken with
@@ -207,9 +234,10 @@ func (rt *Runtime) loop() {
 			}
 		}
 
-		// Fire expired timers.
-		now := time.Now()
-		for len(rt.timers) > 0 && !rt.timers[0].at.After(now) {
+		// Fire expired timers. The one clock read per dispatch is also
+		// the run-at stamp of the coroutine dispatched below.
+		rt.now = time.Now()
+		for len(rt.timers) > 0 && !rt.timers[0].at.After(rt.now) {
 			t := heap.Pop(&rt.timers).(*timer)
 			t.fire()
 		}
@@ -220,11 +248,7 @@ func (rt *Runtime) loop() {
 		}
 
 		// Run one ready coroutine to completion of its next yield.
-		if len(rt.ready) > 0 {
-			co := rt.ready[0]
-			copy(rt.ready, rt.ready[1:])
-			rt.ready = rt.ready[:len(rt.ready)-1]
-			co.queued = false
+		if co := rt.next(); co != nil {
 			rt.runOne(co)
 			continue
 		}
@@ -249,8 +273,33 @@ func (rt *Runtime) loop() {
 	}
 }
 
+// next takes the coroutine whose turn it is off the run queue, nil when
+// both classes are empty: the woken class as it stood when the round
+// began, then one of the FIFO class, then a new round.
+func (rt *Runtime) next() *Coroutine {
+	for {
+		if !rt.inRound {
+			rt.wokenLeft, rt.inRound = rt.woken.Len(), true
+		}
+		if rt.wokenLeft > 0 {
+			rt.wokenLeft--
+			co, _ := rt.woken.PopFront()
+			return co
+		}
+		rt.inRound = false
+		if co, ok := rt.fifo.PopFront(); ok {
+			return co
+		}
+		if rt.woken.Len() == 0 {
+			return nil
+		}
+	}
+}
+
 // runOne hands the baton to co and waits for it to yield or finish.
 func (rt *Runtime) runOne(co *Coroutine) {
+	co.queued = false
+	co.runAt = rt.now
 	co.resume <- struct{}{}
 	<-rt.yielded
 	if co.finished {
@@ -267,17 +316,10 @@ func (rt *Runtime) drainForStop() {
 	for pass := 0; pass < 1000; pass++ {
 		for _, co := range rt.parked() {
 			co.stopKill = true
-			delete(rt.parkedSet, co)
-			if !co.queued {
-				co.queued = true
-				rt.ready = append(rt.ready, co)
-			}
+			rt.makeReady(co, false)
 		}
 		progress := false
-		for len(rt.ready) > 0 {
-			co := rt.ready[0]
-			rt.ready = rt.ready[1:]
-			co.queued = false
+		for co := rt.next(); co != nil; co = rt.next() {
 			rt.runOne(co)
 			progress = true
 		}
@@ -310,14 +352,23 @@ func (rt *Runtime) parked() []*Coroutine {
 	return out
 }
 
-// makeReady moves co to the runnable queue; scheduler/baton context only.
-func (rt *Runtime) makeReady(co *Coroutine) {
+// makeReady moves a parked co to the run queue; scheduler/baton context
+// only. woken says an event co waited on became ready, which puts it
+// ahead of the FIFO class; a timer (fired by the loop right after its
+// clock read) or shutdown queues it behind.
+func (rt *Runtime) makeReady(co *Coroutine, woken bool) {
 	if co.queued || co.finished {
 		return
 	}
 	co.queued = true
 	delete(rt.parkedSet, co)
-	rt.ready = append(rt.ready, co)
+	if woken {
+		co.readyAt = time.Now()
+		rt.woken.PushBack(co)
+	} else {
+		co.readyAt = rt.now
+		rt.fifo.PushBack(co)
+	}
 }
 
 // timer is a scheduled wakeup.

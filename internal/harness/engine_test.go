@@ -2,11 +2,14 @@ package harness
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"depfast/internal/failslow"
 	"depfast/internal/obs"
+	"depfast/internal/raft"
+	"depfast/internal/ycsb"
 )
 
 // shortOpts is the CI-sized figure cell.
@@ -204,3 +207,45 @@ func TestTimelineWindows(t *testing.T) {
 }
 
 var errTest = errors.New("test: failed op")
+
+// TestSaturatedLeaderResumesCommitsAheadOfArrivals: 256 closed-loop
+// YCSB-B clients on lease reads keep the leader's runtime thread busy
+// all the time, so a request waits out a whole run queue for its first
+// turn (runq_us). An update whose quorum is met must not wait out a
+// second one: the runtime runs event-woken coroutines ahead of arrivals,
+// so wake_us stays a small fraction of runq_us. With a single FIFO the
+// two medians are equal.
+func TestSaturatedLeaderResumesCommitsAheadOfArrivals(t *testing.T) {
+	wl := ycsb.WorkloadB()
+	res, err := Run(Scenario{Name: "saturated-leader", Seed: 7,
+		Topology: Topology{System: DepFastRaft, Nodes: 3,
+			Raft: func(c *raft.Config) { c.ReadIndex, c.LeaderLease = true, true }},
+		Load: Load{Clients: 256, Records: 2000, Workload: &wl},
+		Phases: []Phase{{Name: "warmup", For: 500 * time.Millisecond},
+			{Name: "measure", For: 2 * time.Second}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runq, wake []float64
+	for _, ev := range res.Recorder.Events() {
+		if ev.Type == obs.CommitSpan && ev.Node == res.Leader && !ev.Time.Before(res.Phase("measure").At) {
+			runq, wake = append(runq, ev.Field("runq_us")), append(wake, ev.Field("wake_us"))
+		}
+	}
+	if len(runq) < 100 {
+		t.Fatalf("only %d commit spans on the leader", len(runq))
+	}
+	slices.Sort(runq)
+	slices.Sort(wake)
+	r50, w50 := runq[len(runq)/2], wake[len(wake)/2]
+	t.Logf("%d commit spans: runq_us p50 %.0f, wake_us p50 %.0f; %v", len(runq), r50, w50, res.Phase("measure").All)
+	if r50 < 1000 {
+		t.Fatalf("runq_us p50 = %.0f: the leader was not saturated, the test shows nothing", r50)
+	}
+	if w50 >= r50/10 {
+		t.Fatalf("wake_us p50 = %.0f is not under a tenth of runq_us p50 = %.0f: met quorums queue behind new arrivals", w50, r50)
+	}
+	if a := res.Audit; a.Lin.Verdict != LinOK || len(a.Lost) != 0 || a.Acked == 0 {
+		t.Fatalf("audit: history %v, acked %d, lost %v", a.Lin.Verdict, a.Acked, a.Lost)
+	}
+}

@@ -76,7 +76,12 @@ const (
 	// fsync durable), replicate_us (propose → fan-out dispatched to every
 	// follower outbox), quorum_us (propose → quorum ack), apply_us
 	// (quorum ack → applied), total_us — plus index (the batch's last
-	// entry) and count (its entries).
+	// entry) and count (its entries). The leader's run queue has two
+	// fields of its own: runq_us, the oldest member's wait from arriving
+	// at the runtime to its handler's first turn (it ends before the
+	// propose time, so it is outside total_us), and wake_us, from the
+	// quorum event firing to the first member running again (the tail
+	// of quorum_us).
 	CommitSpan Type = "commit.span"
 
 	// GaugeSample is a periodic bridge from metrics: Fields carry rate

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"slices"
 	"time"
 
 	"depfast/internal/codec"
@@ -35,7 +36,8 @@ type proposal struct {
 	cc   *ConfChange // a membership entry: takes effect on append
 	idx  uint64      // assigned at flush
 
-	enq time.Time // when the proposer arrived
+	enq        time.Time // when the proposer arrived
+	ready, run time.Time // its coroutine's run-queue wait before that
 
 	// tc is the request's causal trace context; span ids are allocated
 	// up front so children recorded as they complete (fsync hook,
@@ -75,7 +77,7 @@ func (s *Server) commit(co *core.Coroutine, data []byte, cc *ConfChange, tc xtra
 		return 0, kv.Result{}, ErrNotLeader
 	}
 	term := s.term
-	m := &proposal{data: data, cc: cc, enq: time.Now()}
+	m := &proposal{data: data, cc: cc, enq: time.Now(), ready: co.ReadyAt(), run: co.RunAt()}
 	// The write stall is taken BEFORE the entry joins a batch: stalling
 	// between append and fan-out would let concurrent commits put index
 	// n+1 on the wire ahead of n, and a follower that sees the gap
@@ -119,7 +121,7 @@ func (s *Server) commit(co *core.Coroutine, data []byte, cc *ConfChange, tc xtra
 		s.leave(b, m)
 		return 0, kv.Result{}, err
 	}
-	s.settle(b, err == nil)
+	s.settle(b, err == nil, co)
 	if err != nil {
 		return 0, kv.Result{}, err
 	}
@@ -151,20 +153,9 @@ func (s *Server) join(m *proposal) *commitBatch {
 // leave withdraws m from a batch that never reached the log (its wait
 // timed out or the server is stopping while the gate was closed).
 func (s *Server) leave(b *commitBatch, m *proposal) {
-	for i, x := range b.members {
-		if x == m {
-			b.members = append(b.members[:i], b.members[i+1:]...)
-			break
-		}
-	}
-	if len(b.members) > 0 {
-		return
-	}
-	for i, x := range s.pending {
-		if x == b {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
+	b.members = slices.DeleteFunc(b.members, func(x *proposal) bool { return x == m })
+	if len(b.members) == 0 {
+		s.pending = slices.DeleteFunc(s.pending, func(x *commitBatch) bool { return x == b })
 	}
 }
 
@@ -174,9 +165,7 @@ func (s *Server) leave(b *commitBatch, m *proposal) {
 func (s *Server) flushPending() {
 	for len(s.pending) > 0 && s.awaiting < s.cfg.OutboxWindow {
 		b := s.pending[0]
-		n := copy(s.pending, s.pending[1:])
-		s.pending[n] = nil
-		s.pending = s.pending[:n]
+		s.pending = slices.Delete(s.pending, 0, 1)
 		s.flush(b)
 	}
 }
@@ -277,8 +266,9 @@ func (s *Server) flush(b *commitBatch) {
 // commit: discard what is still queued for straggling voters (repair
 // catches them up later; learner streams are left intact), advance the
 // commit index and apply. Whatever the outcome, the batch's gate slot
-// goes back once and the next queued batch is flushed.
-func (s *Server) settle(b *commitBatch, ok bool) {
+// goes back once and the next queued batch is flushed. co is the member
+// that just woke.
+func (s *Server) settle(b *commitBatch, ok bool, co *core.Coroutine) {
 	if ok && !b.committed {
 		b.committed = true
 		last := b.last()
@@ -291,7 +281,7 @@ func (s *Server) settle(b *commitBatch, ok bool) {
 		}
 		b.quorumAt = time.Now()
 		s.advanceCommit(last)
-		s.emitCommitSpan(b)
+		s.emitCommitSpan(b, co.RunAt().Sub(co.ReadyAt()))
 	}
 	if !b.released {
 		b.released = true
@@ -306,8 +296,11 @@ func (s *Server) settle(b *commitBatch, ok bool) {
 // and gate wait stay inside total_us. A zero appendDone means the local
 // fsync was still in flight when the quorum was met (a follower
 // majority carried the commit), and the append stage is omitted rather
-// than guessed.
-func (s *Server) emitCommitSpan(b *commitBatch) {
+// than guessed. The leader's run queue gets two fields of its own:
+// runq_us, what the oldest member's request waited for its first turn
+// (before the propose time), and wake_us, how long after the quorum
+// fired the first member was running again (inside quorum_us).
+func (s *Server) emitCommitSpan(b *commitBatch, wake time.Duration) {
 	if s.rec == nil {
 		return
 	}
@@ -319,6 +312,8 @@ func (s *Server) emitCommitSpan(b *commitBatch) {
 		"quorum_us":    float64(b.quorumAt.Sub(start).Microseconds()),
 		"apply_us":     float64(applyAt.Sub(b.quorumAt).Microseconds()),
 		"total_us":     float64(applyAt.Sub(start).Microseconds()),
+		"runq_us":      float64(b.members[0].run.Sub(b.members[0].ready).Microseconds()),
+		"wake_us":      float64(wake.Microseconds()),
 	}
 	if !b.appendDone.IsZero() {
 		f["append_us"] = float64(b.appendDone.Sub(start).Microseconds())
@@ -333,6 +328,10 @@ func (s *Server) emitCommitSpan(b *commitBatch) {
 // queue.
 func (s *Server) traceCommit(b *commitBatch, m *proposal) {
 	now := time.Now()
+	if m.run.Sub(m.ready) >= traceNoise {
+		s.trc.Record(m.tc, xtrace.Span{Parent: m.tc.Span, Name: "runq",
+			Node: s.cfg.ID, Res: xtrace.CPU, Start: m.ready, End: m.run})
+	}
 	if m.joined.Sub(m.enq) >= traceNoise {
 		s.trc.Record(m.tc, xtrace.Span{Parent: m.quorumID, Name: "wal.stall",
 			Node: s.cfg.ID, Res: xtrace.Disk, Start: m.enq, End: m.joined})

@@ -9,7 +9,9 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"depfast/internal/codec"
@@ -43,9 +45,12 @@ type Endpoint struct {
 	mu          sync.Mutex
 	pending     map[uint64]*pendingCall
 	nextID      uint64
-	handlers    map[uint32]HandlerFunc
 	closed      bool
 	unreachable map[string]bool
+
+	// handlers is replaced whole by Handle (under mu) and read without
+	// the lock on every inbound request.
+	handlers atomic.Pointer[map[uint32]handler]
 
 	callTimeout time.Duration
 	observer    func(peer string, rtt time.Duration, timedOut bool)
@@ -54,6 +59,13 @@ type Endpoint struct {
 
 	Calls    *metrics.Counter
 	Timeouts *metrics.Counter
+}
+
+// handler is a registered HandlerFunc and the name its coroutines run
+// under, built once at registration.
+type handler struct {
+	fn   HandlerFunc
+	name string
 }
 
 type pendingCall struct {
@@ -89,12 +101,12 @@ func NewEndpoint(node string, rt *core.Runtime, tr transport.Transport, opts ...
 		rt:          rt,
 		tr:          tr,
 		pending:     make(map[uint64]*pendingCall),
-		handlers:    make(map[uint32]HandlerFunc),
 		callTimeout: 5 * time.Second,
 		sweepStop:   make(chan struct{}),
 		Calls:       metrics.NewCounter("rpc.calls"),
 		Timeouts:    metrics.NewCounter("rpc.timeouts"),
 	}
+	ep.handlers.Store(&map[uint32]handler{})
 	for _, o := range opts {
 		o(ep)
 	}
@@ -112,7 +124,9 @@ func (ep *Endpoint) Runtime() *core.Runtime { return ep.rt }
 func (ep *Endpoint) Handle(tag uint32, h HandlerFunc) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.handlers[tag] = h
+	next := maps.Clone(*ep.handlers.Load())
+	next[tag] = handler{fn: h, name: fmt.Sprintf("rpc-%d", tag)}
+	ep.handlers.Store(&next)
 }
 
 // Close fails all pending calls and stops the sweeper.
@@ -256,15 +270,13 @@ func (ep *Endpoint) onRequest(from string, id uint64, body []byte) {
 		ep.reply(from, id, nil, err)
 		return
 	}
-	ep.mu.Lock()
-	h := ep.handlers[msg.TypeTag()]
-	ep.mu.Unlock()
-	if h == nil {
+	h := (*ep.handlers.Load())[msg.TypeTag()]
+	if h.fn == nil {
 		ep.reply(from, id, nil, fmt.Errorf("no handler for tag %d", msg.TypeTag()))
 		return
 	}
-	ep.rt.Spawn(fmt.Sprintf("rpc-%d", msg.TypeTag()), func(co *core.Coroutine) {
-		resp := h(co, from, msg)
+	ep.rt.Spawn(h.name, func(co *core.Coroutine) {
+		resp := h.fn(co, from, msg)
 		if resp == nil {
 			ep.reply(from, id, nil, errors.New("handler returned no reply"))
 			return

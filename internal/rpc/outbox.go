@@ -30,7 +30,7 @@ type Outbox struct {
 	// memory-pressure fault model sees outbox backlog.
 	e *env.Env
 
-	queue    []*queuedSend
+	queue    core.Deque[*queuedSend]
 	inflight int
 	qBytes   int64
 	pumping  bool // flattens re-entrant pump calls from sync failures
@@ -90,12 +90,12 @@ func (ob *Outbox) Send(req codec.Message, ev *core.ResultEvent, class int64) {
 // a broadcast encodes once and hands the same slice to every target's
 // outbox. The outbox only reads payload.
 func (ob *Outbox) SendPayload(payload []byte, ev *core.ResultEvent, class int64) {
-	if ob.capacity > 0 && len(ob.queue) >= ob.capacity {
+	if ob.capacity > 0 && ob.queue.Len() >= ob.capacity {
 		ob.Overflows.Inc()
 		ev.Fire(nil, ErrBacklogOverflow)
 		return
 	}
-	ob.queue = append(ob.queue, &queuedSend{payload: payload, ev: ev, class: class})
+	ob.queue.PushBack(&queuedSend{payload: payload, ev: ev, class: class})
 	ob.track(int64(len(payload)))
 	ob.pump()
 }
@@ -105,7 +105,7 @@ func (ob *Outbox) SendPayload(payload []byte, ev *core.ResultEvent, class int64)
 // discarded. In-flight messages are not affected.
 func (ob *Outbox) CancelBelow(maxClass int64) int {
 	n := 0
-	for _, q := range ob.queue {
+	for _, q := range ob.queue.Items() {
 		if !q.cancelled && q.class <= maxClass {
 			q.cancelled = true
 			n++
@@ -121,7 +121,7 @@ func (ob *Outbox) CancelBelow(maxClass int64) int {
 // CancelAll discards everything queued.
 func (ob *Outbox) CancelAll() int {
 	n := 0
-	for _, q := range ob.queue {
+	for _, q := range ob.queue.Items() {
 		if !q.cancelled {
 			q.cancelled = true
 			n++
@@ -134,22 +134,20 @@ func (ob *Outbox) CancelAll() int {
 	return n
 }
 
-// compact removes cancelled entries, firing their events.
+// compact removes cancelled entries, then fires their events (a fired
+// event may run logic that sends again).
 func (ob *Outbox) compact() {
-	kept := ob.queue[:0]
-	for _, q := range ob.queue {
+	var dropped []*queuedSend
+	ob.queue.Filter(func(q *queuedSend) bool {
 		if q.cancelled {
-			ob.track(-int64(len(q.payload)))
-			q.ev.Fire(nil, ErrDiscarded)
-			continue
+			dropped = append(dropped, q)
 		}
-		kept = append(kept, q)
+		return !q.cancelled
+	})
+	for _, q := range dropped {
+		ob.track(-int64(len(q.payload)))
+		q.ev.Fire(nil, ErrDiscarded)
 	}
-	// Zero the tail so cancelled entries are collectable.
-	for i := len(kept); i < len(ob.queue); i++ {
-		ob.queue[i] = nil
-	}
-	ob.queue = kept
 }
 
 // pump fills the window from the queue.
@@ -159,11 +157,8 @@ func (ob *Outbox) pump() {
 	}
 	ob.pumping = true
 	defer func() { ob.pumping = false }()
-	for ob.inflight < ob.window && len(ob.queue) > 0 {
-		q := ob.queue[0]
-		copy(ob.queue, ob.queue[1:])
-		ob.queue[len(ob.queue)-1] = nil
-		ob.queue = ob.queue[:len(ob.queue)-1]
+	for ob.inflight < ob.window && ob.queue.Len() > 0 {
+		q, _ := ob.queue.PopFront()
 		ob.track(-int64(len(q.payload)))
 		if q.cancelled {
 			q.ev.Fire(nil, ErrDiscarded)
@@ -179,7 +174,7 @@ func (ob *Outbox) pump() {
 		})
 		ob.ep.CallWithEvent(ob.peer, q.payload, wireEv)
 	}
-	ob.Depth.Set(int64(len(ob.queue)))
+	ob.Depth.Set(int64(ob.queue.Len()))
 }
 
 // track adjusts queued-bytes accounting (and resident memory when an
@@ -197,6 +192,6 @@ func (ob *Outbox) track(delta int64) {
 
 // QueueLen returns queued (unsent) messages; QueueBytes their bytes;
 // Inflight the in-window count.
-func (ob *Outbox) QueueLen() int     { return len(ob.queue) }
+func (ob *Outbox) QueueLen() int     { return ob.queue.Len() }
 func (ob *Outbox) QueueBytes() int64 { return ob.qBytes }
 func (ob *Outbox) Inflight() int     { return ob.inflight }

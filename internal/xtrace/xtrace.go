@@ -1,10 +1,10 @@
 // Package xtrace provides causal, per-request span trees for fail-slow
 // attribution. A trace context is born at the client (harness worker or
 // shard router), rides the wire inside kv.ClientRequest, and every
-// stage of the commit pipeline — RPC attempt, WAL fsync, write stall,
-// replication fan-out, quorum, apply — records a completed span
-// annotated with the node that spent the time and the resource class
-// it spent it on (disk, net, cpu, queue).
+// stage of the commit pipeline — RPC attempt, run-queue wait (runq),
+// WAL fsync, write stall, replication fan-out, quorum, apply — records
+// a completed span annotated with the node that spent the time and the
+// resource class it spent it on (disk, net, cpu, queue).
 //
 // Sampling is bounded and always-on: every request gets a (cheap)
 // pending record, a 1-in-N head sample keeps its tree unconditionally,
