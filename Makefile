@@ -38,9 +38,11 @@ bench:
 
 # The runtime's microbenchmarks (coroutine wake-up, quorum event,
 # dispatch at run-queue depth 1/256, wake-to-run behind 256 queued
-# spawns) as a smoke: they run, not what they measure.
+# spawns) and the request path's allocation benchmarks (an RPC round
+# trip, marshalling a client request) as a smoke: they run, not what
+# they measure.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchtime 100ms ./internal/core
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100ms ./internal/core ./internal/rpc ./internal/codec
 
 # Regenerate the paper's evaluation from the CLI (a few minutes).
 figures:

@@ -6,6 +6,17 @@
 // The same bytes travel over the in-memory simulated network and over
 // real TCP connections, so single-process experiments and multi-process
 // deployments exercise an identical serialization path.
+//
+// # Frame ownership
+//
+// A message is encoded once, into one buffer that the sender gives away
+// when it sends it. A delivered frame belongs to its receiver and is
+// read-only: nothing writes to it after delivery, so a decoder may hand
+// out pieces of it instead of copies. Decoder.View and Decoder.Rest
+// alias the frame; Decoder.BytesField copies. A decoded value that
+// aliases a frame keeps the whole frame alive while it is referenced,
+// and whoever keeps such a value past the request copies it when it
+// writes it down (kv.Store copies every value it stores).
 package codec
 
 import (
@@ -14,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // Common decode errors.
@@ -77,17 +89,29 @@ func (e *Encoder) Float64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// Bytes appends a length-prefixed byte string.
+// BytesField appends a length-prefixed byte string.
 func (e *Encoder) BytesField(b []byte) {
 	e.Uint64(uint64(len(b)))
 	e.buf = append(e.buf, b...)
 }
+
+// Raw appends b as is, with no length prefix: bytes that already are an
+// encoding, such as a message from Marshal.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
+
+// SizeUint64 is the number of bytes Uint64(v) appends, SizeInt64 the
+// number Int64(v) appends, and SizeBytes the number a String or
+// BytesField of n bytes appends. With them a message writes a nested
+// encoding's length prefix, then the encoding itself, into one buffer.
+func SizeUint64(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func SizeInt64(v int64) int   { return SizeUint64(zigzag(v)) }
+func SizeBytes(n int) int     { return SizeUint64(uint64(n)) + n }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -168,45 +192,55 @@ func (d *Decoder) Float64() float64 {
 	return v
 }
 
+// span reads a length prefix and returns that many following bytes as
+// a sub-slice of the buffer, capped so an append cannot reach past it.
+func (d *Decoder) span() []byte {
+	n := d.Uint64()
+	if d.err != nil {
+		return nil
+	}
+	if n > MaxStringLen {
+		d.fail(ErrStringTooBig)
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail(ErrShortBuffer)
+		return nil
+	}
+	end := d.off + int(n)
+	b := d.buf[d.off:end:end]
+	d.off = end
+	return b
+}
+
 // BytesField reads a length-prefixed byte string. The returned slice is
 // a copy and remains valid after the decoder's buffer is reused.
 func (d *Decoder) BytesField() []byte {
-	n := d.Uint64()
+	b := d.span()
+	if b == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// View reads a length-prefixed byte string as a view of the decoder's
+// buffer: no copy, and valid only as long as the buffer is left alone.
+// Decoders of delivered frames use it (see "Frame ownership").
+func (d *Decoder) View() []byte { return d.span() }
+
+// Rest returns every unread byte as a view of the decoder's buffer and
+// consumes them: the message that ends a frame, read in place.
+func (d *Decoder) Rest() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n > MaxStringLen {
-		d.fail(ErrStringTooBig)
-		return nil
-	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail(ErrShortBuffer)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
+	b := d.buf[d.off:len(d.buf):len(d.buf)]
+	d.off = len(d.buf)
+	return b
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Uint64()
-	if d.err != nil {
-		return ""
-	}
-	if n > MaxStringLen {
-		d.fail(ErrStringTooBig)
-		return ""
-	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail(ErrShortBuffer)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
+func (d *Decoder) String() string { return string(d.span()) }
 
 // Message is implemented by every RPC-transportable type.
 type Message interface {
@@ -236,12 +270,35 @@ func Registered(tag uint32) bool {
 	return ok
 }
 
+// Sizer is implemented by a message that can tell how many bytes its
+// body encodes to, so that the one buffer it is written into is
+// allocated once, at the right size, rather than grown.
+type Sizer interface {
+	Size() int
+}
+
+// SizeHint is how many bytes AppendMessage(e, msg) appends: exact for
+// a Sizer, a small guess otherwise.
+func SizeHint(msg Message) int {
+	if s, ok := msg.(Sizer); ok {
+		return SizeUint64(uint64(msg.TypeTag())) + s.Size()
+	}
+	return 64
+}
+
 // Marshal encodes msg with its type tag prefix.
 func Marshal(msg Message) []byte {
-	e := NewEncoder(64)
+	e := NewEncoder(SizeHint(msg))
+	AppendMessage(e, msg)
+	return e.Bytes()
+}
+
+// AppendMessage appends msg's type tag and body to e: what Marshal
+// returns, written straight into a buffer the caller is filling, such
+// as an RPC envelope.
+func AppendMessage(e *Encoder, msg Message) {
 	e.Uint64(uint64(msg.TypeTag()))
 	msg.MarshalTo(e)
-	return e.Bytes()
 }
 
 // Unmarshal decodes a tagged message produced by Marshal.
@@ -266,22 +323,27 @@ func Unmarshal(data []byte) (Message, error) {
 // MaxFrameLen bounds a single framed payload on the TCP transport.
 const MaxFrameLen = 128 << 20
 
-// WriteFrame writes a 4-byte big-endian length prefix followed by the
-// payload to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return ErrFrameTooBig
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// NewFrameEncoder returns an encoder for one frame of a byte stream:
+// its first four bytes are the big-endian length of what follows,
+// filled in by Frame, so the whole frame goes out in a single Write.
+func NewFrameEncoder(capacity int) *Encoder {
+	e := NewEncoder(4 + capacity)
+	e.buf = e.buf[:4]
+	return e
 }
 
-// ReadFrame reads one length-prefixed payload from r.
+// Frame completes a frame begun with NewFrameEncoder and returns it.
+func (e *Encoder) Frame() ([]byte, error) {
+	n := len(e.buf) - 4
+	if n > MaxFrameLen {
+		return nil, ErrFrameTooBig
+	}
+	binary.BigEndian.PutUint32(e.buf, uint32(n))
+	return e.buf, nil
+}
+
+// ReadFrame reads one length-prefixed payload from r, into a buffer of
+// its own that the caller owns.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

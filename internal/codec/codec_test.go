@@ -134,6 +134,31 @@ func TestDecodedBytesAreCopies(t *testing.T) {
 	}
 }
 
+// View and Rest hand out pieces of the frame itself, capped so that an
+// append to one cannot overwrite the bytes after it.
+func TestViewAndRestAliasTheFrame(t *testing.T) {
+	e := NewEncoder(0)
+	e.BytesField([]byte("abc"))
+	e.Raw([]byte("tail"))
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	view, rest := d.View(), d.Rest()
+	if string(view) != "abc" || string(rest) != "tail" || d.Remaining() != 0 || d.Err() != nil {
+		t.Fatalf("view %q rest %q remaining %d err %v", view, rest, d.Remaining(), d.Err())
+	}
+	buf[1] = 'X'
+	if string(view) != "Xbc" {
+		t.Fatalf("view %q does not alias the frame", view)
+	}
+	_ = append(view, '!')
+	if string(rest) != "tail" {
+		t.Fatalf("appending to a view overwrote the bytes after it: %q", rest)
+	}
+	if d.View() != nil || d.Err() == nil {
+		t.Fatal("View past the end of the frame did not fail")
+	}
+}
+
 // testMsg is a registered message for registry/marshal tests.
 type testMsg struct {
 	A int64
@@ -205,13 +230,23 @@ func TestRegistered(t *testing.T) {
 	}
 }
 
+// writeFrame writes payload to buf as one frame.
+func writeFrame(t *testing.T, buf *bytes.Buffer, payload []byte) {
+	t.Helper()
+	e := NewFrameEncoder(len(payload))
+	e.Raw(payload)
+	f, err := e.Frame()
+	if err != nil {
+		t.Fatalf("frame: %v", err)
+	}
+	buf.Write(f)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("first"), {}, []byte("third frame")}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		writeFrame(t, &buf, p)
 	}
 	for i, want := range payloads {
 		got, err := ReadFrame(&buf)
@@ -226,9 +261,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+	writeFrame(t, &buf, []byte("payload"))
 	short := buf.Bytes()[:buf.Len()-3]
 	if _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Fatal("expected error for truncated frame")

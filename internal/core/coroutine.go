@@ -12,15 +12,15 @@ type Coroutine struct {
 	name string
 	rt   *Runtime
 
-	resume   chan struct{}
-	finished bool
-	queued   bool // sitting in the ready queue
-	stopKill bool // woken by shutdown; waits return ErrStopped
-
-	waitGen      uint64 // incremented when a wait completes; invalidates timers
-	wakeTimedOut bool   // set by a timeout timer before waking the coroutine
+	resume chan struct{}
+	timer  timer // armed for the timed wait or sleep in progress
 
 	readyAt, runAt time.Time // last entered the run queue / last given the baton
+
+	finished     bool
+	queued       bool // sitting in the ready queue
+	stopKill     bool // woken by shutdown; waits return ErrStopped
+	wakeTimedOut bool // set by the timer before waking the coroutine
 }
 
 // ID returns the coroutine's runtime-unique id.
@@ -101,7 +101,6 @@ func (co *Coroutine) Wait(ev Event) error {
 		ev.addWaiter(co)
 		co.park()
 		ev.removeWaiter(co)
-		co.waitGen++
 		if co.stopKill {
 			co.trace(ev, start, false)
 			return ErrStopped
@@ -123,48 +122,39 @@ func (co *Coroutine) WaitFor(ev Event, timeout time.Duration) WaitResult {
 // recorded with the shape and peers it finally had.
 func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc Event) WaitResult {
 	start := time.Now()
-	deadline := start.Add(timeout)
-	armed := false
+	res := co.timedWait(ev, start.Add(timeout))
+	co.rt.disarm(co)
+	co.traceDesc(ev, desc, start, res == WaitTimeout)
+	return res
+}
+
+// timedWait is the wait loop of waitForDesc; the caller disarms the
+// timer it may leave armed.
+func (co *Coroutine) timedWait(ev Event, deadline time.Time) WaitResult {
 	for !ev.Ready() {
 		if co.stopKill || co.rt.stopping.Load() {
 			co.stopKill = true
-			co.traceDesc(ev, desc, start, false)
 			return WaitStopped
 		}
 		if !time.Now().Before(deadline) {
-			co.waitGen++
-			co.traceDesc(ev, desc, start, true)
 			return WaitTimeout
 		}
-		if !armed {
-			armed = true
-			gen := co.waitGen
-			co.rt.addTimer(deadline, func() {
-				if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
-					co.wakeTimedOut = true
-					co.rt.makeReady(co, false)
-				}
-			})
+		if co.timer.idx < 0 {
+			co.rt.arm(co, deadline)
 		}
 		ev.addWaiter(co)
 		co.park()
 		ev.removeWaiter(co)
 		if co.stopKill {
-			co.waitGen++
-			co.traceDesc(ev, desc, start, false)
 			return WaitStopped
 		}
 		if co.wakeTimedOut {
 			co.wakeTimedOut = false
 			if !ev.Ready() {
-				co.waitGen++
-				co.traceDesc(ev, desc, start, true)
 				return WaitTimeout
 			}
 		}
 	}
-	co.waitGen++
-	co.traceDesc(ev, desc, start, false)
 	return WaitReady
 }
 
@@ -176,14 +166,10 @@ func (co *Coroutine) Sleep(d time.Duration) error {
 	}
 	deadline := time.Now().Add(d)
 	for {
-		gen := co.waitGen
-		co.rt.addTimer(deadline, func() {
-			if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
-				co.rt.makeReady(co, false)
-			}
-		})
+		co.rt.arm(co, deadline)
 		co.park()
-		co.waitGen++
+		co.rt.disarm(co)
+		co.wakeTimedOut = false
 		if co.stopKill {
 			return ErrStopped
 		}

@@ -42,25 +42,47 @@ type compound interface {
 }
 
 // baseEvent carries the waiter and parent bookkeeping shared by all
-// event types.
+// event types. Nearly every event has at most one waiter: it is held
+// inline, and any further ones, in the order they came, sit behind a
+// pointer, so the common event costs no slice and keeps a small size.
 type baseEvent struct {
-	waiters []*Coroutine
+	waiter  *Coroutine
+	more    *[]*Coroutine
 	parents []compound
 }
 
 func (b *baseEvent) addWaiter(co *Coroutine) {
-	for _, w := range b.waiters {
-		if w == co {
-			return
+	if b.waiter == co {
+		return
+	}
+	if b.more != nil {
+		for _, w := range *b.more {
+			if w == co {
+				return
+			}
 		}
 	}
-	b.waiters = append(b.waiters, co)
+	if b.waiter == nil && (b.more == nil || len(*b.more) == 0) {
+		b.waiter = co
+		return
+	}
+	if b.more == nil {
+		b.more = new([]*Coroutine)
+	}
+	*b.more = append(*b.more, co)
 }
 
 func (b *baseEvent) removeWaiter(co *Coroutine) {
-	for i, w := range b.waiters {
+	if b.waiter == co {
+		b.waiter = nil
+		return
+	}
+	if b.more == nil {
+		return
+	}
+	for i, w := range *b.more {
 		if w == co {
-			b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
+			*b.more = append((*b.more)[:i], (*b.more)[i+1:]...)
 			return
 		}
 	}
@@ -73,10 +95,16 @@ func (b *baseEvent) addParent(p compound) {
 // wake moves all current waiters to the run queue's woken class and
 // notifies parent compound events that self fired.
 func (b *baseEvent) wake(self Event) {
-	for _, co := range b.waiters {
+	if co := b.waiter; co != nil {
+		b.waiter = nil
 		co.rt.makeReady(co, true)
 	}
-	b.waiters = b.waiters[:0]
+	if b.more != nil {
+		for _, co := range *b.more {
+			co.rt.makeReady(co, true)
+		}
+		*b.more = (*b.more)[:0]
+	}
 	for _, p := range b.parents {
 		p.childFired(self)
 	}

@@ -84,6 +84,7 @@ type Runtime struct {
 	wokenLeft int
 	inRound   bool
 	now       time.Time // the loop's latest clock read
+	start     time.Time // timer deadlines are offsets from it
 
 	done     chan struct{} // closed when the loop exits
 	stopping atomic.Bool
@@ -117,6 +118,7 @@ func NewRuntime(name string, opts ...Option) *Runtime {
 		yielded:   make(chan struct{}),
 		done:      make(chan struct{}),
 		parkedSet: make(map[*Coroutine]struct{}),
+		start:     time.Now(),
 	}
 	for _, o := range opts {
 		o(rt)
@@ -177,6 +179,7 @@ func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine), at time.Time
 		resume:  make(chan struct{}),
 		queued:  true,
 		readyAt: at,
+		timer:   timer{idx: -1},
 	}
 	rt.live++
 	go func() {
@@ -222,6 +225,7 @@ func (rt *Runtime) Stopped() bool { return rt.stopping.Load() }
 func (rt *Runtime) loop() {
 	defer rt.loopWG.Done()
 	defer close(rt.done)
+	var idle *time.Timer // one timer, re-armed for every idle wait
 	for {
 		// Apply all pending posted completions without blocking.
 	drain:
@@ -237,9 +241,8 @@ func (rt *Runtime) loop() {
 		// Fire expired timers. The one clock read per dispatch is also
 		// the run-at stamp of the coroutine dispatched below.
 		rt.now = time.Now()
-		for len(rt.timers) > 0 && !rt.timers[0].at.After(rt.now) {
-			t := heap.Pop(&rt.timers).(*timer)
-			t.fire()
+		for now := rt.now.Sub(rt.start); len(rt.timers) > 0 && rt.timers[0].timer.at <= now; {
+			rt.expire(heap.Pop(&rt.timers).(*Coroutine))
 		}
 
 		if rt.stopping.Load() {
@@ -255,16 +258,22 @@ func (rt *Runtime) loop() {
 
 		// Idle: block until a post arrives or the next timer expires.
 		if len(rt.timers) > 0 {
-			d := time.Until(rt.timers[0].at)
+			d := rt.timers[0].timer.at - time.Since(rt.start)
 			if d <= 0 {
 				continue
 			}
-			tm := time.NewTimer(d)
+			if idle == nil {
+				idle = time.NewTimer(d)
+			} else {
+				idle.Reset(d) // stopped or drained below, so Reset is safe
+			}
 			select {
 			case fn := <-rt.post:
-				tm.Stop()
+				if !idle.Stop() {
+					<-idle.C
+				}
 				fn()
-			case <-tm.C:
+			case <-idle.C:
 			}
 			continue
 		}
@@ -371,31 +380,58 @@ func (rt *Runtime) makeReady(co *Coroutine, woken bool) {
 	}
 }
 
-// timer is a scheduled wakeup.
+// timer is a coroutine's one wakeup: the deadline of the timed wait or
+// sleep it is in, as an offset from the runtime's start. A coroutine is
+// in at most one wait at a time, so one timer, embedded in it, is all it
+// ever needs. idx is its slot in the runtime's heap, -1 when unarmed.
 type timer struct {
-	at   time.Time
-	fire func()
-	idx  int
+	at  time.Duration
+	idx int
 }
 
-type timerHeap []*timer
+// timerHeap orders the coroutines with an armed timer by deadline.
+type timerHeap []*Coroutine
 
-func (h timerHeap) Len() int            { return len(h) }
-func (h timerHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *timerHeap) Push(x interface{}) { t := x.(*timer); t.idx = len(*h); *h = append(*h, t) }
+func (h timerHeap) Len() int           { return len(h) }
+func (h timerHeap) Less(i, j int) bool { return h[i].timer.at < h[j].timer.at }
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].timer.idx, h[j].timer.idx = i, j
+}
+func (h *timerHeap) Push(x interface{}) {
+	co := x.(*Coroutine)
+	co.timer.idx = len(*h)
+	*h = append(*h, co)
+}
 func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
-	t := old[n-1]
+	co := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	return t
+	co.timer.idx = -1
+	return co
 }
 
-// addTimer registers a wakeup at time at; baton/scheduler context only.
-func (rt *Runtime) addTimer(at time.Time, fire func()) *timer {
-	t := &timer{at: at, fire: fire}
-	heap.Push(&rt.timers, t)
-	return t
+// arm sets co's timer for at; baton context only.
+func (rt *Runtime) arm(co *Coroutine, at time.Time) {
+	co.timer.at = at.Sub(rt.start)
+	heap.Push(&rt.timers, co)
+}
+
+// disarm takes co's timer out of the heap if it is still there: a wait
+// that ends for any other reason leaves no timer behind.
+func (rt *Runtime) disarm(co *Coroutine) {
+	if co.timer.idx >= 0 {
+		heap.Remove(&rt.timers, co.timer.idx)
+	}
+}
+
+// expire wakes co, whose timer the loop just took off the heap, unless
+// an event or shutdown already queued it.
+func (rt *Runtime) expire(co *Coroutine) {
+	if _, parked := rt.parkedSet[co]; parked {
+		co.wakeTimedOut = true
+		rt.makeReady(co, false)
+	}
 }

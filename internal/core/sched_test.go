@@ -248,6 +248,26 @@ func TestRunQueueStamps(t *testing.T) {
 	})
 }
 
+// TestCompletedWaitsLeaveNoTimers: a wait that ends before its timeout
+// takes its timer out of the heap, so 10k hour-long waits that complete
+// leave nothing for the loop, or the garbage collector, to carry.
+func TestCompletedWaitsLeaveNoTimers(t *testing.T) {
+	run(t, func(co *Coroutine) {
+		rt := co.Runtime()
+		for i := 0; i < 10000; i++ {
+			ev := NewResultEvent("disk")
+			rt.Post(func() { ev.Fire(nil, nil) })
+			if co.WaitFor(ev, time.Hour) != WaitReady {
+				t.Error("fired result not seen")
+				return
+			}
+		}
+		if len(rt.timers) != 0 {
+			t.Errorf("%d timers left armed after 10k completed waits", len(rt.timers))
+		}
+	})
+}
+
 func TestDeque(t *testing.T) {
 	var d Deque[int]
 	if _, ok := d.PopFront(); ok || d.Len() != 0 {

@@ -10,6 +10,7 @@ import (
 	"depfast/internal/kv"
 	"depfast/internal/mitigate"
 	"depfast/internal/obs"
+	"depfast/internal/race"
 	"depfast/internal/raft"
 	"depfast/internal/trace"
 	"depfast/internal/xtrace"
@@ -635,7 +636,7 @@ func TestRunReplacement(t *testing.T) {
 		t.Errorf("final voters %v: want %s gone and %s in", res.Audit.Converge[0].Voters, faulted, spare)
 	}
 	if post < 0.9*pre {
-		if raceEnabled {
+		if race.Enabled {
 			t.Logf("post-replacement throughput %.0f op/s < 0.9x baseline %.0f op/s (tolerated under -race)", post, pre)
 		} else {
 			t.Errorf("post-replacement throughput %.0f op/s < 0.9x baseline %.0f op/s", post, pre)

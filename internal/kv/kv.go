@@ -57,25 +57,36 @@ type Command struct {
 
 // Encode serializes the command for a log entry.
 func (c Command) Encode() []byte {
-	e := codec.NewEncoder(len(c.Key) + len(c.Value) + 16)
+	e := codec.NewEncoder(c.size())
+	c.appendTo(e)
+	return e.Bytes()
+}
+
+// size is len(c.Encode()).
+func (c Command) size() int {
+	return codec.SizeInt64(int64(c.Op)) + codec.SizeBytes(len(c.Key)) + codec.SizeBytes(len(c.Value)) +
+		codec.SizeInt64(int64(c.ScanLen)) + codec.SizeBytes(len(c.Expect))
+}
+
+func (c Command) appendTo(e *codec.Encoder) {
 	e.Int(int(c.Op))
 	e.String(c.Key)
 	e.BytesField(c.Value)
 	e.Int(c.ScanLen)
 	e.BytesField(c.Expect)
-	return e.Bytes()
 }
 
-// DecodeCommand parses a command from entry data.
+// DecodeCommand parses a command from entry data. Value and Expect are
+// views of data (see the codec package's frame-ownership rule).
 func DecodeCommand(data []byte) (Command, error) {
 	d := codec.NewDecoder(data)
 	c := Command{
 		Op:  OpKind(d.Int()),
 		Key: d.String(),
 	}
-	c.Value = d.BytesField()
+	c.Value = d.View()
 	c.ScanLen = d.Int()
-	c.Expect = d.BytesField()
+	c.Expect = d.View()
 	return c, d.Err()
 }
 
@@ -251,18 +262,27 @@ func (m *ClientRequest) TypeTag() uint32 { return TagClientRequest }
 func (m *ClientRequest) MarshalTo(e *codec.Encoder) {
 	e.Uint64(m.ClientID)
 	e.Uint64(m.Seq)
-	e.BytesField(m.Cmd.Encode())
+	// The command's bytes exactly as BytesField(Cmd.Encode()), written in
+	// place.
+	e.Uint64(uint64(m.Cmd.size()))
+	m.Cmd.appendTo(e)
 	e.Uint64(m.TraceID)
 	e.Uint64(m.TraceSpan)
 	e.Bool(m.TraceSampled)
 	e.Bool(m.FollowerRead)
 }
 
+// Size implements codec.Sizer.
+func (m *ClientRequest) Size() int {
+	return codec.SizeUint64(m.ClientID) + codec.SizeUint64(m.Seq) + codec.SizeBytes(m.Cmd.size()) +
+		codec.SizeUint64(m.TraceID) + codec.SizeUint64(m.TraceSpan) + 2
+}
+
 // UnmarshalFrom implements codec.Message.
 func (m *ClientRequest) UnmarshalFrom(d *codec.Decoder) {
 	m.ClientID = d.Uint64()
 	m.Seq = d.Uint64()
-	cmd, err := DecodeCommand(d.BytesField())
+	cmd, err := DecodeCommand(d.View())
 	if err == nil {
 		m.Cmd = cmd
 	}
@@ -301,20 +321,30 @@ func (m *ClientResponse) MarshalTo(e *codec.Encoder) {
 	e.String(m.Err)
 }
 
+// Size implements codec.Sizer.
+func (m *ClientResponse) Size() int {
+	n := 3 + codec.SizeBytes(len(m.LeaderHint)) + codec.SizeBytes(len(m.Value)) +
+		codec.SizeInt64(int64(len(m.Pairs))) + codec.SizeBytes(len(m.Err))
+	for _, p := range m.Pairs {
+		n += codec.SizeBytes(len(p.Key)) + codec.SizeBytes(len(p.Value))
+	}
+	return n
+}
+
 // UnmarshalFrom implements codec.Message.
 func (m *ClientResponse) UnmarshalFrom(d *codec.Decoder) {
 	m.OK = d.Bool()
 	m.NotLeader = d.Bool()
 	m.LeaderHint = d.String()
 	m.Found = d.Bool()
-	m.Value = d.BytesField()
+	m.Value = d.View()
 	n := d.Int()
 	if n < 0 || n > 1<<20 {
 		return
 	}
 	m.Pairs = make([]Pair, 0, n)
 	for i := 0; i < n; i++ {
-		m.Pairs = append(m.Pairs, Pair{Key: d.String(), Value: d.BytesField()})
+		m.Pairs = append(m.Pairs, Pair{Key: d.String(), Value: d.View()})
 	}
 	m.Err = d.String()
 }

@@ -76,15 +76,32 @@ func TestStoreScan(t *testing.T) {
 	}
 }
 
+// A command round-trips; a ClientRequest, which writes its command in
+// place, puts the same bytes on the wire as BytesField(Encode()); and
+// both client messages state their encoded size exactly.
 func TestCommandEncodeDecode(t *testing.T) {
-	f := func(op uint8, key string, value []byte, scan uint8) bool {
-		in := Command{Op: OpKind(op % 4), Key: key, Value: value, ScanLen: int(scan)}
+	f := func(op uint8, key string, value, expect []byte, scan int32) bool {
+		in := Command{Op: OpKind(op % 5), Key: key, Value: value, ScanLen: int(scan), Expect: expect}
 		out, err := DecodeCommand(in.Encode())
 		if err != nil {
 			return false
 		}
-		return out.Op == in.Op && out.Key == in.Key &&
-			bytes.Equal(out.Value, in.Value) && out.ScanLen == in.ScanLen
+		req := &ClientRequest{ClientID: 3, Seq: 1 << 40, Cmd: in, TraceID: 9}
+		want := codec.NewEncoder(0)
+		want.Uint64(TagClientRequest)
+		want.Uint64(req.ClientID)
+		want.Uint64(req.Seq)
+		want.BytesField(in.Encode())
+		want.Uint64(req.TraceID)
+		want.Uint64(0)
+		want.Bool(false)
+		want.Bool(false)
+		resp := &ClientResponse{OK: true, LeaderHint: key, Value: value, Err: string(expect),
+			Pairs: []Pair{{Key: key, Value: value}, {Key: "b", Value: expect}}}
+		return out.Op == in.Op && out.Key == in.Key && bytes.Equal(out.Value, in.Value) &&
+			out.ScanLen == in.ScanLen && bytes.Equal(out.Expect, in.Expect) &&
+			bytes.Equal(codec.Marshal(req), want.Bytes()) &&
+			codec.SizeHint(req) == want.Len() && codec.SizeHint(resp) == len(codec.Marshal(resp))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -280,35 +280,51 @@ func TestCommitWriteStallBurstHasNoRejects(t *testing.T) {
 }
 
 // The gate counts quorums, not per-peer acks: one follower at 50x disk
-// fills its own outbox and is discarded, while throughput stays where
-// the healthy group has it.
+// fills its own outbox and is discarded, while every write succeeds and
+// the commit index runs ahead of that follower's match index by more
+// than a batch — commits did not wait for it. Sampled on the leader's
+// baton; the wall-clock cost of the fault is logged, not asserted (the
+// follower_faults workload's fault.max_tput_drift measures it).
 func TestCommitGateIgnoresSlowFollower(t *testing.T) {
 	c := newCluster(t, clusterOpts{n: 3, netBase: time.Millisecond})
 	leader := c.waitLeader()
 	srv := c.servers[leader]
 	slow := c.followersOf(leader)[0]
+	const writers, per = 32, 40
 
-	// The faster of two runs a side: a host stall lengthens a run, nothing
-	// shortens one.
-	run := func(base uint64) time.Duration {
-		best := time.Duration(0)
-		for i := uint64(0); i < 2; i++ {
-			start := time.Now()
-			mustAllOK(t, leaderWriters(srv, base+100*i, 32, 40))
-			if el := time.Since(start); best == 0 || el < best {
-				best = el
-			}
-		}
-		return best
-	}
-	healthy := run(2200)
+	start := time.Now()
+	mustAllOK(t, leaderWriters(srv, 2200, writers, per))
+	healthy := time.Since(start)
+
 	in := failslow.DefaultIntensity()
 	in.DiskSlowFactor = 50
 	failslow.Apply(c.envs[slow], failslow.DiskSlow, in)
-	faulted := run(2400)
-	t.Logf("32 writers x 40 puts: healthy %v, one follower at 50x disk %v", healthy, faulted)
-	if faulted > healthy+healthy/10 {
-		t.Errorf("a slow follower cost %v against %v healthy: more than 10%%", faulted, healthy)
+	start = time.Now()
+	done := make(chan []*kv.ClientResponse, 1)
+	go func() { done <- leaderWriters(srv, 2400, writers, per) }()
+	var ahead uint64 // most the commit index led the slow follower's match index by
+	sample := make(chan uint64, 1)
+	var resps []*kv.ClientResponse
+	for resps == nil {
+		select {
+		case resps = <-done:
+		case <-time.After(2 * time.Millisecond):
+			srv.rt.Post(func() {
+				gap := uint64(0)
+				if srv.commitIndex > srv.matchIndex[slow] {
+					gap = srv.commitIndex - srv.matchIndex[slow]
+				}
+				sample <- gap
+			})
+			ahead = max(ahead, <-sample)
+		}
+	}
+	faulted := time.Since(start)
+	mustAllOK(t, resps)
+	t.Logf("%d writers x %d puts: healthy %v, one follower at 50x disk %v (ratio %.2f); commit led its match index by up to %d",
+		writers, per, healthy, faulted, float64(faulted)/float64(healthy), ahead)
+	if ahead < writers {
+		t.Errorf("commit index led the 50x-disk follower by at most %d entries, want at least one batch (%d)", ahead, writers)
 	}
 }
 

@@ -27,7 +27,7 @@ func encodeEntries(e *codec.Encoder, entries []storage.Entry) {
 	}
 }
 
-// decodeEntries reads a length-prefixed entry list.
+// decodeEntries reads a length-prefixed entry list; data views the frame.
 func decodeEntries(d *codec.Decoder) []storage.Entry {
 	n := d.Int()
 	if n < 0 || n > 1<<20 {
@@ -38,7 +38,7 @@ func decodeEntries(d *codec.Decoder) []storage.Entry {
 		out = append(out, storage.Entry{
 			Index: d.Uint64(),
 			Term:  d.Uint64(),
-			Data:  d.BytesField(),
+			Data:  d.View(),
 		})
 	}
 	return out

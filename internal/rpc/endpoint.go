@@ -43,7 +43,7 @@ type Endpoint struct {
 	tr   transport.Transport
 
 	mu          sync.Mutex
-	pending     map[uint64]*pendingCall
+	pending     map[uint64]pendingCall
 	nextID      uint64
 	closed      bool
 	unreachable map[string]bool
@@ -68,6 +68,8 @@ type handler struct {
 	name string
 }
 
+// pendingCall is one outstanding call, stored by value in the pending
+// map: booking a call allocates nothing of its own.
 type pendingCall struct {
 	ev       *core.ResultEvent
 	to       string
@@ -100,7 +102,7 @@ func NewEndpoint(node string, rt *core.Runtime, tr transport.Transport, opts ...
 		node:        node,
 		rt:          rt,
 		tr:          tr,
-		pending:     make(map[uint64]*pendingCall),
+		pending:     make(map[uint64]pendingCall),
 		callTimeout: 5 * time.Second,
 		sweepStop:   make(chan struct{}),
 		Calls:       metrics.NewCounter("rpc.calls"),
@@ -135,11 +137,11 @@ func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	ep.closed = true
 	pend := ep.pending
-	ep.pending = make(map[uint64]*pendingCall)
+	ep.pending = make(map[uint64]pendingCall)
 	ep.mu.Unlock()
 	for _, pc := range pend {
-		pc := pc
-		ep.rt.Post(func() { pc.ev.Fire(nil, ErrClosed) })
+		ev := pc.ev
+		ep.rt.Post(func() { ev.Fire(nil, ErrClosed) })
 	}
 }
 
@@ -148,7 +150,7 @@ func (ep *Endpoint) Close() {
 // of its coroutines or a posted function) — like all event creation.
 func (ep *Endpoint) Call(to string, req codec.Message) *core.ResultEvent {
 	ev := core.NewResultEvent("rpc", to)
-	ep.CallWithEvent(to, codec.Marshal(req), ev)
+	ep.call(to, req, nil, ev)
 	return ev
 }
 
@@ -156,6 +158,18 @@ func (ep *Endpoint) Call(to string, req codec.Message) *core.ResultEvent {
 // outcome; the outbox uses it to relay completions into events the
 // logic already holds.
 func (ep *Endpoint) CallWithEvent(to string, reqPayload []byte, ev *core.ResultEvent) {
+	ep.call(to, nil, reqPayload, ev)
+}
+
+// envelopeHeader bounds what an envelope holds before its message: the
+// call id, two flags and an empty error text.
+const envelopeHeader = 16
+
+// call sends one request envelope: the call id, the request flag, then
+// the tagged request — req encoded in place, or payload, its encoding
+// from codec.Marshal, copied in. Each envelope is a buffer of its own
+// that the receiver then owns.
+func (ep *Endpoint) call(to string, req codec.Message, payload []byte, ev *core.ResultEvent) {
 	ep.Calls.Inc()
 	id, err := ep.register(to, ev)
 	if err != nil {
@@ -163,10 +177,18 @@ func (ep *Endpoint) CallWithEvent(to string, reqPayload []byte, ev *core.ResultE
 		return
 	}
 
-	e := codec.NewEncoder(len(reqPayload) + 16)
+	size := len(payload)
+	if req != nil {
+		size = codec.SizeHint(req)
+	}
+	e := codec.NewEncoder(envelopeHeader + size)
 	e.Uint64(id)
 	e.Bool(false) // request
-	e.BytesField(reqPayload)
+	if req != nil {
+		codec.AppendMessage(e, req)
+	} else {
+		e.Raw(payload)
+	}
 	if err := ep.tr.Send(ep.node, to, e.Bytes()); err != nil {
 		ep.mu.Lock()
 		delete(ep.pending, id)
@@ -190,7 +212,7 @@ func (ep *Endpoint) register(to string, ev *core.ResultEvent) (uint64, error) {
 	ep.nextID++
 	id := ep.nextID
 	now := time.Now()
-	ep.pending[id] = &pendingCall{ev: ev, to: to, sentAt: now, deadline: now.Add(ep.callTimeout)}
+	ep.pending[id] = pendingCall{ev: ev, to: to, sentAt: now, deadline: now.Add(ep.callTimeout)}
 	return id, nil
 }
 
@@ -211,13 +233,15 @@ func (ep *Endpoint) SetUnreachable(peer string, down bool) {
 }
 
 // TransportHandler returns the inbound message handler to register
-// with the transport for this node.
+// with the transport for this node. The frame it is handed is this
+// endpoint's, read-only: the envelope, the request and the reply are
+// all decoded from it in place.
 func (ep *Endpoint) TransportHandler() transport.Handler {
 	return func(from string, payload []byte) {
 		d := codec.NewDecoder(payload)
 		id := d.Uint64()
 		isResp := d.Bool()
-		body := d.BytesField()
+		body := d.Rest()
 		if d.Err() != nil {
 			return // corrupt frame
 		}
@@ -244,22 +268,22 @@ func (ep *Endpoint) onResponse(id uint64, body []byte) {
 		ep.observer(pc.to, time.Since(pc.sentAt), false)
 	}
 	msg, err := decodeReply(body)
-	ep.rt.Post(func() { pc.ev.Fire(msg, err) })
+	ev := pc.ev
+	ep.rt.Post(func() { ev.Fire(msg, err) })
 }
 
-// decodeReply splits the (ok, errmsg, payload) reply body.
+// decodeReply splits the (ok, errmsg, tagged reply) reply body.
 func decodeReply(body []byte) (codec.Message, error) {
 	d := codec.NewDecoder(body)
 	ok := d.Bool()
 	errMsg := d.String()
-	inner := d.BytesField()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrRemote, errMsg)
 	}
-	return codec.Unmarshal(inner)
+	return codec.Unmarshal(d.Rest())
 }
 
 // onRequest decodes, dispatches to the handler on a new coroutine, and
@@ -285,25 +309,24 @@ func (ep *Endpoint) onRequest(from string, id uint64, body []byte) {
 	})
 }
 
-// reply sends a response envelope back to the caller.
+// reply sends a response envelope back to the caller, encoded in one
+// pass: the call id, the response flag, ok, the error text, then the
+// tagged reply when there is one.
 func (ep *Endpoint) reply(to string, id uint64, msg codec.Message, herr error) {
-	var inner []byte
-	if msg != nil {
-		inner = codec.Marshal(msg)
-	}
-	body := codec.NewEncoder(len(inner) + 32)
-	body.Bool(herr == nil)
+	errText, size := "", 0
 	if herr != nil {
-		body.String(herr.Error())
+		errText = herr.Error()
 	} else {
-		body.String("")
+		size = codec.SizeHint(msg)
 	}
-	body.BytesField(inner)
-
-	e := codec.NewEncoder(body.Len() + 16)
+	e := codec.NewEncoder(envelopeHeader + len(errText) + size)
 	e.Uint64(id)
 	e.Bool(true) // response
-	e.BytesField(body.Bytes())
+	e.Bool(herr == nil)
+	e.String(errText)
+	if herr == nil {
+		codec.AppendMessage(e, msg)
+	}
 	_ = ep.tr.Send(ep.node, to, e.Bytes()) // reply loss is a timeout at the caller
 }
 
@@ -316,7 +339,7 @@ func (ep *Endpoint) sweep() {
 		case <-ep.sweepStop:
 			return
 		case now := <-tick.C:
-			var expired []*pendingCall
+			var expired []pendingCall
 			ep.mu.Lock()
 			for id, pc := range ep.pending {
 				if now.After(pc.deadline) {
@@ -326,12 +349,12 @@ func (ep *Endpoint) sweep() {
 			}
 			ep.mu.Unlock()
 			for _, pc := range expired {
-				pc := pc
 				ep.Timeouts.Inc()
 				if ep.observer != nil {
 					ep.observer(pc.to, time.Since(pc.sentAt), true)
 				}
-				ep.rt.Post(func() { pc.ev.Fire(nil, ErrTimeout) })
+				ev := pc.ev
+				ep.rt.Post(func() { ev.Fire(nil, ErrTimeout) })
 			}
 		}
 	}

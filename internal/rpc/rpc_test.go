@@ -45,7 +45,7 @@ type pair struct {
 	envB *env.Env
 }
 
-func newPair(t *testing.T, opts ...Option) *pair {
+func newPair(t testing.TB, opts ...Option) *pair {
 	t.Helper()
 	cfg := env.DefaultConfig()
 	cfg.NetBase = 0
@@ -73,7 +73,7 @@ func newPair(t *testing.T, opts ...Option) *pair {
 }
 
 // onA runs fn in a coroutine on endpoint a's runtime and waits for it.
-func (p *pair) onA(t *testing.T, fn func(co *core.Coroutine)) {
+func (p *pair) onA(t testing.TB, fn func(co *core.Coroutine)) {
 	t.Helper()
 	done := make(chan struct{})
 	p.rtA.Spawn("test", func(co *core.Coroutine) {

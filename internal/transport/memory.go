@@ -7,7 +7,6 @@
 package transport
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -199,23 +198,50 @@ type delivery struct {
 	seq     uint64
 }
 
-type delivHeap []*delivery
+// delivHeap orders in-flight messages by due time, then by send order.
+// It holds them by value, so a send allocates nothing of its own.
+type delivHeap []delivery
 
-func (h delivHeap) Len() int { return len(h) }
-func (h delivHeap) Less(i, j int) bool {
+func (h delivHeap) less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delivHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *delivHeap) Push(x interface{}) { *h = append(*h, x.(*delivery)) }
-func (h *delivHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *delivHeap) push(d delivery) {
+	*h = append(*h, d)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *delivHeap) pop() delivery {
+	q := *h
+	d, n := q[0], len(q)-1
+	q[0], q[n] = q[n], delivery{}
+	q = q[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && q.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return d
 }
 
@@ -246,7 +272,7 @@ func newMemNode(name string, h Handler, delivered *metrics.Counter) *memNode {
 func (mn *memNode) enqueue(from string, payload []byte, at time.Time) {
 	mn.mu.Lock()
 	mn.seq++
-	heap.Push(&mn.queue, &delivery{from: from, payload: payload, at: at, seq: mn.seq})
+	mn.queue.push(delivery{from: from, payload: payload, at: at, seq: mn.seq})
 	mn.mu.Unlock()
 	select {
 	case mn.wake <- struct{}{}:
@@ -256,10 +282,12 @@ func (mn *memNode) enqueue(from string, payload []byte, at time.Time) {
 
 func (mn *memNode) close() { mn.once.Do(func() { close(mn.closed) }) }
 
-// dispatch delivers queued messages at their due times, in order.
+// dispatch delivers queued messages at their due times, in order. One
+// timer, re-armed for each wait, serves every message not yet due.
 func (mn *memNode) dispatch() {
+	var tm *time.Timer
 	for {
-		msg, wait, empty := mn.pop()
+		msg, wait, empty := mn.next()
 		switch {
 		case empty:
 			select {
@@ -267,14 +295,20 @@ func (mn *memNode) dispatch() {
 			case <-mn.closed:
 				return
 			}
-		case msg != nil:
+		case wait == 0:
 			mn.delivered.Inc()
 			mn.h(msg.from, msg.payload)
 		default:
-			tm := time.NewTimer(wait)
+			if tm == nil {
+				tm = time.NewTimer(wait)
+			} else {
+				tm.Reset(wait) // stopped or drained below, so Reset is safe
+			}
 			select {
 			case <-mn.wake: // an earlier message may have arrived
-				tm.Stop()
+				if !tm.Stop() {
+					<-tm.C
+				}
 			case <-tm.C:
 			case <-mn.closed:
 				tm.Stop()
@@ -284,18 +318,17 @@ func (mn *memNode) dispatch() {
 	}
 }
 
-// pop takes the queue's next due delivery under the lock: a message
+// next takes the queue's next due delivery under the lock: a message
 // when the head is due now, the wait until it is due otherwise, or
 // empty when there is nothing queued.
-func (mn *memNode) pop() (msg *delivery, wait time.Duration, empty bool) {
+func (mn *memNode) next() (msg delivery, wait time.Duration, empty bool) {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
 	if len(mn.queue) == 0 {
-		return nil, 0, true
+		return delivery{}, 0, true
 	}
-	d := time.Until(mn.queue[0].at)
-	if d <= 0 {
-		return heap.Pop(&mn.queue).(*delivery), 0, false
+	if d := time.Until(mn.queue[0].at); d > 0 {
+		return delivery{}, d, false
 	}
-	return nil, d, false
+	return mn.queue.pop(), 0, false
 }

@@ -11,7 +11,8 @@ import (
 // TCP is a real network transport for multi-process deployments: each
 // node listens on an address, outgoing connections are dialed lazily
 // and cached, and messages travel as length-prefixed frames carrying
-// (from, payload).
+// (from, payload). A frame is written with one Write and read into a
+// buffer of its own, which the handler is then given a view of.
 type TCP struct {
 	mu        sync.Mutex
 	listeners map[string]net.Listener
@@ -124,7 +125,7 @@ func (t *TCP) readLoop(node string, conn net.Conn) {
 		}
 		d := codec.NewDecoder(frame)
 		from := d.String()
-		payload := d.BytesField()
+		payload := d.View()
 		if d.Err() != nil {
 			return // corrupt peer; drop the connection
 		}
@@ -148,10 +149,13 @@ func (t *TCP) readLoop(node string, conn net.Conn) {
 // Send implements Transport. A failed cached connection is discarded
 // and redialed once.
 func (t *TCP) Send(from, to string, payload []byte) error {
-	e := codec.NewEncoder(len(payload) + len(from) + 8)
+	e := codec.NewFrameEncoder(codec.SizeBytes(len(from)) + codec.SizeBytes(len(payload)))
 	e.String(from)
 	e.BytesField(payload)
-	frame := e.Bytes()
+	frame, err := e.Frame()
+	if err != nil {
+		return err
+	}
 
 	for attempt := 0; attempt < 2; attempt++ {
 		tc, err := t.connFor(from, to)
@@ -159,7 +163,7 @@ func (t *TCP) Send(from, to string, payload []byte) error {
 			return err
 		}
 		tc.mu.Lock()
-		err = codec.WriteFrame(tc.conn, frame)
+		_, err = tc.conn.Write(frame)
 		tc.mu.Unlock()
 		if err == nil {
 			return nil

@@ -353,6 +353,25 @@ func TestTCPBidirectional(t *testing.T) {
 	if m := <-gotA; m != "pong" {
 		t.Fatalf("a got %q", m)
 	}
+	// A 1 MiB payload there and back: one frame, written in one Write,
+	// arrives whole on both sides.
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	if err := trA.Send("a", "b", big); err != nil {
+		t.Fatal(err)
+	}
+	echo := <-gotB
+	if echo != string(big) {
+		t.Fatalf("b got %d bytes, not the %d sent", len(echo), len(big))
+	}
+	if err := trB.Send("b", "a", []byte(echo)); err != nil {
+		t.Fatal(err)
+	}
+	if m := <-gotA; m != string(big) {
+		t.Fatalf("a got %d bytes back, not the %d sent", len(m), len(big))
+	}
 }
 
 func TestTCPUnknownPeer(t *testing.T) {

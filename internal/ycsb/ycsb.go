@@ -7,9 +7,9 @@
 package ycsb
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // OpType is a YCSB operation kind.
@@ -106,8 +106,19 @@ func PaperWrite(records, valueSize int) Workload {
 	return Workload{Records: records, UpdateProp: 1.0, Dist: ZipfianDist, ValueSize: valueSize}
 }
 
-// Key renders record number i as a YCSB-style key.
-func Key(i uint64) string { return fmt.Sprintf("user%012d", i) }
+// Key renders record number i as a YCSB-style key: "user" and i in at
+// least 12 digits, zero-padded (fmt's "user%012d"), built with one
+// allocation, the string itself.
+func Key(i uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], i, 10)
+	var key [4 + len(digits)]byte
+	k := append(key[:0], "user"...)
+	for n := len(d); n < 12; n++ {
+		k = append(k, '0')
+	}
+	return string(append(k, d...))
+}
 
 // Generator produces operations for one client. Not safe for
 // concurrent use: give each client its own generator with a distinct

@@ -1,15 +1,23 @@
 package ycsb
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// Keys are byte-identical to fmt's "user%012d" on both sides of the
+// padding width, so a seed reproduces the same requests.
 func TestKeyFormat(t *testing.T) {
 	if k := Key(42); k != "user000000000042" {
 		t.Fatalf("key = %q", k)
+	}
+	for _, i := range []uint64{0, 1, 1e12 - 1, 1e12, 1e13, 1<<64 - 1} {
+		if k, want := Key(i), fmt.Sprintf("user%012d", i); k != want {
+			t.Errorf("Key(%d) = %q, want %q", i, k, want)
+		}
 	}
 }
 
