@@ -519,7 +519,7 @@ func replaceScenario(o Options) Scenario {
 		rc.Mitigate.ReplaceAfterQuarantines = 2
 		rc.Mitigate.SlowBudget = 800 * time.Millisecond
 	}
-	return Scenario{Name: "replace", Topology: t, Load: Load{Clients: 24}, Seed: 42, Recorder: o.Recorder,
+	return Scenario{Name: "replace", Topology: t, Load: Load{Clients: 48}, Seed: 42, Recorder: o.Recorder,
 		Phases: []Phase{
 			{Name: "warmup", For: 500 * time.Millisecond},
 			{Name: "pre-window", For: time.Second},

@@ -51,11 +51,6 @@ type Config struct {
 	// cluster is slow.
 	TransferCooldown time.Duration
 
-	// PaceFactor multiplies the catch-up interval for quarantined
-	// peers: their repair runs that many times slower, and via
-	// snapshots rather than entry streams (default 8).
-	PaceFactor int
-
 	// MaxQuarantined caps concurrent quarantines. The integrator must
 	// set it so a quorum always remains reachable (for an n-node
 	// majority protocol: n - majority(n)). Zero means no peer is ever
@@ -84,7 +79,6 @@ func DefaultConfig() Config {
 		SelfDemoteAfter:  3,
 		SelfSlowFactor:   4,
 		TransferCooldown: 2 * time.Second,
-		PaceFactor:       8,
 	}
 }
 
@@ -112,9 +106,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.TransferCooldown <= 0 {
 		c.TransferCooldown = def.TransferCooldown
-	}
-	if c.PaceFactor <= 0 {
-		c.PaceFactor = def.PaceFactor
 	}
 	return c
 }

@@ -177,7 +177,7 @@ func TestWithDefaultsFillsZeroFields(t *testing.T) {
 	if cfg.Interval != def.Interval || cfg.QuarantineAfter != def.QuarantineAfter ||
 		cfg.RehabRTTs != def.RehabRTTs || cfg.MinQuarantine != def.MinQuarantine ||
 		cfg.SelfDemoteAfter != def.SelfDemoteAfter || cfg.SelfSlowFactor != def.SelfSlowFactor ||
-		cfg.TransferCooldown != def.TransferCooldown || cfg.PaceFactor != def.PaceFactor {
+		cfg.TransferCooldown != def.TransferCooldown {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.MaxQuarantined != 2 {

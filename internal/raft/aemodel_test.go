@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"depfast/internal/codec"
 	"depfast/internal/core"
 	"depfast/internal/env"
 	"depfast/internal/rpc"
@@ -154,5 +155,77 @@ func runAEModel(t *testing.T, seed int64) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("check hung")
+	}
+}
+
+// scriptedFollower starts f1, a follower of the group {f1, L} in which
+// L is a bare endpoint the test scripts: call sends one message from L
+// and returns f1's reply, nil on failure.
+func scriptedFollower(t *testing.T) (f *Server, call func(codec.Message) interface{}) {
+	net := transport.NewNetwork()
+	ecfg := env.DefaultConfig()
+	ecfg.NetBase = 0
+	ecfg.FsyncBase = 50 * time.Microsecond
+	cfg := DefaultConfig("f1", []string{"f1", "L"})
+	cfg.ElectionTimeoutMin = time.Hour // f1 must never campaign
+	cfg.ElectionTimeoutMax = 2 * time.Hour
+	fe := env.New("f1", ecfg)
+	f = NewServer(cfg, fe, net)
+	net.Register("f1", fe, f.TransportHandler())
+	f.Start()
+	lrt := core.NewRuntime("L")
+	lep := rpc.NewEndpoint("L", lrt, net, rpc.WithCallTimeout(2*time.Second))
+	net.Register("L", env.New("L", ecfg), lep.TransportHandler())
+	t.Cleanup(func() {
+		lep.Close()
+		lrt.Stop()
+		f.Stop()
+		net.Close()
+	})
+	return f, func(m codec.Message) interface{} {
+		out := make(chan interface{}, 1)
+		lrt.Spawn("call", func(co *core.Coroutine) {
+			ev := lep.Call("f1", m)
+			if co.WaitFor(ev, 5*time.Second) != core.WaitReady || ev.Err() != nil {
+				out <- nil
+				return
+			}
+			out <- ev.Value()
+		})
+		return <-out
+	}
+}
+
+// termOneLog is entries 1..n of term 1.
+func termOneLog(n uint64) []storage.Entry {
+	var log []storage.Entry
+	for i := uint64(1); i <= n; i++ {
+		log = append(log, storage.Entry{Index: i, Term: 1})
+	}
+	return log
+}
+
+// A successful AppendEntries vouches for the follower's log only
+// through PrevLogIndex + len(Entries) (Raft Fig. 2): what the follower
+// holds past that may be a deposed leader's suffix the new leader
+// never had. A follower holding 1..10 from term 1 that hears a term-2
+// heartbeat at prev 5 with LeaderCommit 8 must commit and apply 5, not
+// its own 6..8, and must report 5, not 10, as matched.
+func TestFollowerCommitsOnlyWhatTheLeaderVouches(t *testing.T) {
+	f, call := scriptedFollower(t)
+	for i, ae := range []*AppendEntries{
+		{Term: 1, Leader: "L", Entries: termOneLog(10)},
+		{Term: 2, Leader: "L", PrevLogIndex: 5, PrevLogTerm: 1, LeaderCommit: 8},
+	} {
+		r, _ := call(ae).(*AppendEntriesReply)
+		if r == nil || !r.Success {
+			t.Fatalf("append %d: %+v", i+1, r)
+		}
+		if want := []uint64{10, 5}[i]; r.LastIndex != want {
+			t.Errorf("append %d acked through %d, want %d", i+1, r.LastIndex, want)
+		}
+	}
+	if commit, applied := f.CommitInfo(); commit != 5 || applied != 5 {
+		t.Errorf("follower commit=%d applied=%d after a heartbeat vouching for 5, want 5 and 5", commit, applied)
 	}
 }

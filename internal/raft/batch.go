@@ -15,14 +15,16 @@ import (
 // The commit path: the only way an entry enters the leader's log.
 //
 // A proposer joins the open batch. A batch is flushed — one WAL append
-// (one fsync), one AppendEntries per target, one QuorumEvent with the
-// leader's own fsync judged in — at once while fewer than OutboxWindow
-// batches await their quorum, otherwise the moment one of them
-// completes, taking everything that queued meanwhile. An idle leader
-// thus commits batches of one with no added wait, and a saturated one
-// never queues in a healthy follower's outbox. The gate counts quorums,
-// never per-peer acks: a fail-slow minority cannot close it, its outbox
-// still fills and is still discarded after each quorum.
+// (one fsync), one AppendEntries shared by every peer in step, one
+// QuorumEvent with the leader's own fsync judged in — at once while
+// fewer than OutboxWindow batches await their quorum, otherwise the
+// moment one of them completes, taking everything that queued
+// meanwhile. An idle leader thus commits batches of one with no added
+// wait, and a saturated one never queues in a healthy follower's
+// outbox. The gate counts quorums, never per-peer acks: a fail-slow
+// minority cannot close it, its outbox still fills and is still
+// discarded after each quorum, and a peer that is behind is a non-ack
+// its own sender catches up (replication.go).
 //
 // Every member is its own request coroutine waiting once on the batch's
 // shared QuorumEvent. The first to wake commits, discards and flushes
@@ -103,7 +105,7 @@ func (s *Server) commit(co *core.Coroutine, data []byte, cc *ConfChange, tc xtra
 	s.flushPending()
 
 	var err error
-	switch co.WaitQuorum(b.q, s.cfg.CommitTimeout) {
+	switch co.WaitQuorum(b.q, commitTimeout) {
 	case core.QuorumOK:
 		if s.role != Leader || s.term != term {
 			err = ErrDeposed
@@ -239,7 +241,7 @@ func (s *Server) flush(b *commitBatch) {
 	b.q.Reshape(1+len(targets), s.majority())
 	b.q.AddJudged(fsync, nil) // the leader's own durable append is one ack
 	last := b.last()
-	// Encoded once; every target's outbox and learner stream shares it.
+	// Encoded once; every peer in step shares it.
 	payload := codec.Marshal(&AppendEntries{
 		Term:         b.term,
 		Leader:       s.cfg.ID,
@@ -248,33 +250,50 @@ func (s *Server) flush(b *commitBatch) {
 		Entries:      entries,
 		LeaderCommit: s.commitIndex,
 	})
-	for _, p := range targets {
-		ev := core.NewResultEvent("rpc", p)
-		judge := s.appendJudge(p, last, b.term)
-		for _, m := range traced {
-			judge = s.tracedJudge(judge, m.tc, m.quorumID, p)
+	for _, p := range s.others() {
+		counted := slices.Contains(targets, p)
+		pr := s.prs[p]
+		if pr.state != replicating || pr.next != first {
+			// Behind: its sender owns the gap, and it cannot ack this
+			// batch before closing it — a non-ack, with nothing sent.
+			if counted {
+				b.q.AddReject()
+			}
+			pr.wake()
+			continue
 		}
-		b.q.AddJudged(ev, judge)
+		pr.next = last + 1
+		ev := core.NewResultEvent("rpc", p)
+		judge := s.appendJudge(p, pr, last, b.term)
+		if counted {
+			for _, m := range traced {
+				judge = s.tracedJudge(judge, m.tc, m.quorumID, p)
+			}
+			b.q.AddJudged(ev, judge)
+		} else {
+			// Learners and quarantined voters take the stream; no quorum
+			// waits on them.
+			core.OnEvent(ev, func() { judge(ev.Value(), ev.Err()) })
+		}
 		s.outboxes[p].SendPayload(payload, ev, int64(last))
 	}
-	s.streamToLearners(payload, first-1, last, b.term)
 	b.fanned = time.Now()
 }
 
 // settle runs on every member that wakes from a flushed batch's quorum
 // wait; only the first does the work. On a met quorum that is the
-// commit: discard what is still queued for straggling voters (repair
-// catches them up later; learner streams are left intact), advance the
-// commit index and apply. Whatever the outcome, the batch's gate slot
-// goes back once and the next queued batch is flushed. co is the member
-// that just woke.
+// commit: discard what is still queued for straggling voters (which
+// drops them to probing, and their senders catch them up; learners
+// keep their queue), advance the commit index and apply. Whatever the
+// outcome, the batch's gate slot goes back once and the next queued
+// batch is flushed. co is the member that just woke.
 func (s *Server) settle(b *commitBatch, ok bool, co *core.Coroutine) {
 	if ok && !b.committed {
 		b.committed = true
 		last := b.last()
 		if s.cfg.QuorumDiscard {
 			for _, p := range s.otherVoters() {
-				if s.matchIndex[p] < last {
+				if s.prs[p].match < last {
 					s.outboxes[p].CancelBelow(int64(last))
 				}
 			}
@@ -361,7 +380,7 @@ func (s *Server) admitDirtyWAL(co *core.Coroutine) {
 		if !oldest.Ready() {
 			s.WALStalls.Inc()
 		}
-		if co.WaitFor(oldest, s.cfg.DiskWaitTimeout) == core.WaitStopped {
+		if co.WaitFor(oldest, diskWaitTimeout) == core.WaitStopped {
 			return
 		}
 	}

@@ -3,6 +3,7 @@ package raft
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,6 +259,99 @@ func TestCommitPipelineKeepsHealthyFollowersInStep(t *testing.T) {
 	}
 }
 
+// leaderLoad keeps n writers putting straight into the leader's request
+// handler, as leaderWriters does, until the returned stop is called;
+// stop waits for them and reports how many writes ran and failed.
+func leaderLoad(srv *Server, base uint64, n int) (stop func() (writes, failed int)) {
+	var halt atomic.Bool
+	type tally struct{ writes, failed int }
+	out := make(chan tally, n)
+	for w := 0; w < n; w++ {
+		id := base + uint64(w)
+		srv.rt.Spawn("writer", func(co *core.Coroutine) {
+			var t tally
+			for seq := uint64(1); !halt.Load(); seq++ {
+				resp := srv.handleClientRequest(co, "test", &kv.ClientRequest{ClientID: id, Seq: seq,
+					Cmd: kv.Command{Op: kv.OpPut, Key: fmt.Sprintf("l%d-%d", id, seq), Value: []byte("v")}})
+				if r := resp.(*kv.ClientResponse); !r.OK || r.NotLeader {
+					t.failed++
+				}
+				t.writes++
+			}
+			out <- t
+		})
+	}
+	return func() (writes, failed int) {
+		halt.Store(true)
+		for w := 0; w < n; w++ {
+			t := <-out
+			writes, failed = writes+t.writes, failed+t.failed
+		}
+		return writes, failed
+	}
+}
+
+// lagOf is how far follower f's commit index trails the leader's, as
+// published (the benchmark's raft.follower_lag_max reads the same).
+func (c *cluster) lagOf(leader, f string) uint64 {
+	lc, _ := c.servers[leader].CommitInfo()
+	fc, _ := c.servers[f].CommitInfo()
+	if lc > fc {
+		return lc - fc
+	}
+	return 0
+}
+
+// Quorum-discard may shed a slow follower's backlog; it may not leave
+// the group at leader+1 once the slowness ends. While 64 writers
+// saturate the leader, one follower's disk runs 50x slow for 300 ms —
+// long enough for its queue to be discarded — and then recovers with
+// the load still running. Its own replies must clock it back: within
+// 2 s its lag is under one window of catch-up messages (OutboxWindow ×
+// RepairBatch) and stays there, and no write fails.
+func TestFollowerCatchesUpUnderLoad(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, netBase: time.Millisecond})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	slow := c.followersOf(leader)[0]
+	bound := uint64(srv.cfg.OutboxWindow * srv.cfg.RepairBatch)
+
+	stop := leaderLoad(srv, 2700, 64)
+	time.Sleep(300 * time.Millisecond)
+	in := failslow.DefaultIntensity()
+	in.DiskSlowFactor = 50
+	failslow.Apply(c.envs[slow], failslow.DiskSlow, in)
+	time.Sleep(300 * time.Millisecond)
+	failslow.Clear(c.envs[slow])
+	cleared := time.Now()
+
+	// settled is when the lag was last at or over bound: from then on
+	// it stayed under.
+	var settled time.Duration
+	worst := uint64(0)
+	for time.Since(cleared) < 3*time.Second {
+		lag := c.lagOf(leader, slow)
+		worst = max(worst, lag)
+		if lag >= bound {
+			settled = time.Since(cleared)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	writes, failed := stop()
+	discards := srv.Outbox(slow).Discards.Value()
+	t.Logf("%d writes; %d discarded toward %s; worst lag %d after the fault cleared, under %d for good after %v; %d repair sends",
+		writes, discards, slow, worst, bound, settled, srv.RepairSends.Value())
+	if discards == 0 {
+		t.Errorf("the stall never shed %s's backlog: nothing to catch up", slow)
+	}
+	if settled > 2*time.Second {
+		t.Errorf("%s's lag was still %d or more %v after the fault cleared, want under it within 2s for good", slow, bound, settled)
+	}
+	if failed != 0 {
+		t.Errorf("%d of %d writes failed", failed, writes)
+	}
+}
+
 // A write-stall burst on a disk-slow leader surfaces as latency, never
 // as a reject: the stall is taken before a proposer joins its batch,
 // so every append reaches the wire in log order.
@@ -311,8 +405,8 @@ func TestCommitGateIgnoresSlowFollower(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 			srv.rt.Post(func() {
 				gap := uint64(0)
-				if srv.commitIndex > srv.matchIndex[slow] {
-					gap = srv.commitIndex - srv.matchIndex[slow]
+				if m := srv.prs[slow].match; srv.commitIndex > m {
+					gap = srv.commitIndex - m
 				}
 				sample <- gap
 			})

@@ -90,10 +90,12 @@ func (s *Server) observeHeartbeat() {
 }
 
 // campaign runs one election round in DepFast style: a single
-// QuorumEvent over all vote RPCs, no per-peer waits. With PreVote
-// enabled a probe round must succeed before any term is bumped.
+// QuorumEvent over all vote RPCs, no per-peer waits. A PreVote probe
+// round must succeed before any term is bumped, so a follower that
+// briefly lost contact (e.g. the moment a fail-slow fault lands on its
+// NIC) cannot depose a healthy leader with a spurious term bump.
 func (s *Server) campaign(co *core.Coroutine) {
-	if s.cfg.PreVote && !s.preVote(co) {
+	if !s.preVote(co) {
 		return
 	}
 	s.term++
@@ -109,7 +111,7 @@ func (s *Server) campaign(co *core.Coroutine) {
 	// the campaign is abandoned and the server steps back to follower,
 	// leaving the election to a peer with a healthy disk.
 	persist := s.disk.WriteAsync(16, nil)
-	switch co.WaitFor(persist, s.cfg.DiskWaitTimeout) {
+	switch co.WaitFor(persist, diskWaitTimeout) {
 	case core.WaitStopped:
 		return
 	case core.WaitTimeout:
@@ -166,9 +168,11 @@ func (s *Server) becomeLeader(co *core.Coroutine, term uint64) {
 	s.role = Leader
 	s.leaderHint = s.cfg.ID
 	last := s.wal.LastIndex()
+	s.prs = make(map[string]*progress)
 	for _, p := range s.others() {
-		s.nextIndex[p] = last + 1
-		s.matchIndex[p] = 0
+		// Raft's optimistic start: every peer is taken to be in step, so
+		// the no-op barrier's fan-out is its first probe.
+		s.track(p, &progress{next: last + 1, state: replicating})
 	}
 	// Lease state starts cold: acks are earned from this term's own
 	// traffic, and lease reads additionally wait for the no-op barrier
@@ -186,9 +190,6 @@ func (s *Server) becomeLeader(co *core.Coroutine, term uint64) {
 	s.publish()
 
 	s.rt.Spawn("heartbeat", func(hc *core.Coroutine) { s.heartbeatLoop(hc, term) })
-	for _, p := range s.others() {
-		s.spawnRepair(p, term)
-	}
 	// Commit a no-op barrier so entries from prior terms become
 	// committable (Raft §5.4.2).
 	s.rt.Spawn("noop-barrier", func(nc *core.Coroutine) {
@@ -227,7 +228,7 @@ func (s *Server) preVote(co *core.Coroutine) bool {
 // handleRequestVote services a vote solicitation.
 func (s *Server) handleRequestVote(co *core.Coroutine, from string, req codec.Message) codec.Message {
 	m := req.(*RequestVote)
-	s.e.Compute(s.cfg.FollowerComputePerOp)
+	s.e.Compute(followerComputePerOp)
 	if m.Term < s.term {
 		return &RequestVoteReply{Term: s.term, Granted: false}
 	}
@@ -269,7 +270,7 @@ func (s *Server) handleRequestVote(co *core.Coroutine, from string, req codec.Me
 		// The vote is only granted once it is durable; if the local disk
 		// is too slow to persist it in time, deny rather than block the
 		// candidate's whole election on our fail-slow hardware.
-		if co.WaitFor(persist, s.cfg.DiskWaitTimeout) != core.WaitReady {
+		if co.WaitFor(persist, diskWaitTimeout) != core.WaitReady {
 			return &RequestVoteReply{Term: s.term, Granted: false}
 		}
 	}

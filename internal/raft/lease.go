@@ -107,18 +107,12 @@ func init() {
 	codec.Register(TagReadIndexReply, func() codec.Message { return new(ReadIndexReply) })
 }
 
-// leaseDuration is the lease window: cfg.LeaseDuration clamped to 4/5
-// of ElectionTimeoutMin. The clamp is the safety margin under the
-// stickiness argument — a voter refuses rival votes for a full
-// ElectionTimeoutMin after an ack it sent us, so counting it toward a
-// strictly shorter window always undershoots.
+// leaseDuration is the lease window: 4/5 of ElectionTimeoutMin. The
+// margin is the safety argument — a voter refuses rival votes for a
+// full ElectionTimeoutMin after an ack it sent us, so counting it
+// toward a strictly shorter window always undershoots.
 func (s *Server) leaseDuration() time.Duration {
-	max := s.cfg.ElectionTimeoutMin * 4 / 5
-	d := s.cfg.LeaseDuration
-	if d <= 0 || d > max {
-		d = max
-	}
-	return d
+	return s.cfg.ElectionTimeoutMin * 4 / 5
 }
 
 // noteLeaseAck records a successful AppendEntries ack from voter p
@@ -182,17 +176,9 @@ func (s *Server) confirmReadIndex(co *core.Coroutine) (readIdx uint64, leased bo
 	q := core.NewQuorumEvent(1+len(targets), s.majority())
 	q.AddAck() // self
 	for _, p := range targets {
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: s.nextIndex[p] - 1,
-			PrevLogTerm:  s.termOf(s.nextIndex[p] - 1),
-			LeaderCommit: s.commitIndex,
-		}
-		ev := s.ep.Call(p, ae)
-		q.AddJudged(ev, s.appendJudge(p, 0, term))
+		q.AddJudged(s.heartbeat(p, term), s.appendJudge(p, nil, 0, term))
 	}
-	if out := co.WaitQuorum(q, s.cfg.CommitTimeout); out != core.QuorumOK {
+	if out := co.WaitQuorum(q, commitTimeout); out != core.QuorumOK {
 		return 0, false, &kv.ClientResponse{OK: false, Err: "readindex: lost quorum"}
 	}
 	if s.role != Leader || s.term != term {
@@ -230,11 +216,11 @@ func (s *Server) followerRead(co *core.Coroutine, m *kv.ClientRequest, tc xtrace
 	if leader == "" || leader == s.cfg.ID {
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: leader, Err: ErrNotLeader.Error()}
 	}
-	s.e.Compute(s.cfg.FollowerComputePerOp)
+	s.e.Compute(followerComputePerOp)
 	traced := s.trc != nil && tc.Active()
 	t0 := time.Now()
 	ev := s.ep.Call(leader, &ReadIndexQuery{From: s.cfg.ID})
-	if co.WaitFor(ev, s.cfg.CommitTimeout) != core.WaitReady || ev.Err() != nil {
+	if co.WaitFor(ev, commitTimeout) != core.WaitReady || ev.Err() != nil {
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: s.leaderHint,
 			Err: "followerread: leader unreachable"}
 	}
@@ -263,7 +249,7 @@ func (s *Server) followerRead(co *core.Coroutine, m *kv.ClientRequest, tc xtrace
 	if s.lastApplied < rep.Index {
 		sig := core.NewSignalEvent()
 		s.appliedWaiters = append(s.appliedWaiters, appliedWaiter{idx: rep.Index, sig: sig})
-		if co.WaitFor(sig, s.cfg.CommitTimeout) != core.WaitReady {
+		if co.WaitFor(sig, commitTimeout) != core.WaitReady {
 			return &kv.ClientResponse{OK: false, Err: "followerread: apply lag"}
 		}
 	}

@@ -3,11 +3,12 @@
 // moment its entry is *appended* — quorums for that entry and
 // everything after are counted over the new voter set — and is rolled
 // back if the entry is truncated by a conflicting leader. New servers
-// join as non-voting learners: they receive the log (snapshot
-// bootstrap + streaming) and their progress is tracked, but they are
-// charged to no quorum and start no elections, so a slow or lagging
-// joiner cannot stall the group. Promotion to voter is a second
-// ConfChange, gated on the learner having caught up. Safety rails:
+// join as non-voting learners: they receive the log exactly as voters
+// do (one replication progress each: snapshot bootstrap, catch-up,
+// then the fan-out), but they are charged to no quorum and start no
+// elections, so a slow or lagging joiner cannot stall the group.
+// Promotion to voter is a second ConfChange, gated on the learner
+// replicating within one batch of the commit index. Safety rails:
 // one in-flight change at a time, and a leader never removes itself
 // (transfer leadership first).
 package raft
@@ -15,7 +16,6 @@ package raft
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"depfast/internal/codec"
 	"depfast/internal/core"
@@ -360,17 +360,6 @@ func (s *Server) otherVoters() []string {
 	return out
 }
 
-// otherLearners returns the effective learners except self.
-func (s *Server) otherLearners() []string {
-	out := make([]string, 0, len(s.mem.learners))
-	for _, p := range s.mem.learners {
-		if p != s.cfg.ID {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Members reports the published (voters, learners) sets; safe from any
 // goroutine.
 func (s *Server) Members() ([]string, []string) {
@@ -414,7 +403,7 @@ func (s *Server) validateConfChange(cc *ConfChange) error {
 		if !s.mem.isLearner(cc.Node) {
 			return ErrNotMember
 		}
-		if s.matchIndex[cc.Node] < s.commitIndex {
+		if !s.caughtUp(cc.Node) {
 			return ErrLearnerBehind
 		}
 	case ConfRemove:
@@ -433,7 +422,7 @@ func (s *Server) validateConfChange(cc *ConfChange) error {
 // adoptConfEntry makes a freshly appended ConfChange at idx effective:
 // the config switches immediately (quorums for this entry already use
 // it), the record is kept for rollback, and peer plumbing (outboxes,
-// progress, repair coroutines) is synchronized. Runs on leaders (in
+// progress and its sender) is synchronized. Runs on leaders (in
 // flush) and followers (in handleAppendEntries) alike.
 func (s *Server) adoptConfEntry(cc *ConfChange, idx uint64) {
 	prev := s.mem
@@ -483,9 +472,9 @@ func (s *Server) rollbackConfTo(idx uint64) {
 }
 
 // syncPeerPlumbing reconciles per-peer state with the effective
-// config: members get an outbox (and, on a leader, progress tracking
-// plus a repair coroutine); ex-members get their backlog cancelled and
-// their state dropped so no coroutine keeps addressing them.
+// config: members get an outbox (and, on a leader, a progress with its
+// sender); ex-members get their backlog cancelled and their state
+// dropped so no coroutine keeps addressing them.
 func (s *Server) syncPeerPlumbing() {
 	members := make(map[string]bool)
 	for _, p := range s.mem.voters {
@@ -500,12 +489,9 @@ func (s *Server) syncPeerPlumbing() {
 		if s.outboxes[p] == nil {
 			s.outboxes[p] = s.newOutbox(p)
 		}
-		if s.role == Leader {
-			if s.nextIndex[p] == 0 {
-				s.nextIndex[p] = s.wal.LastIndex() + 1
-				s.matchIndex[p] = 0
-			}
-			s.spawnRepair(p, s.term)
+		if s.role == Leader && s.prs[p] == nil {
+			// A joiner may hold nothing: probe from the log's start.
+			s.track(p, &progress{next: 1, state: probing})
 		}
 	}
 	quarChanged := false
@@ -513,13 +499,14 @@ func (s *Server) syncPeerPlumbing() {
 		if members[p] {
 			continue
 		}
+		if pr := s.prs[p]; pr != nil {
+			delete(s.prs, p)
+			pr.wake() // its sender ends
+		}
 		ob.CancelAll()
 		delete(s.outboxes, p)
-		delete(s.nextIndex, p)
-		delete(s.matchIndex, p)
 		delete(s.slowVotes, p)
 		delete(s.peerSelfSlow, p)
-		delete(s.learnerStream, p)
 		if s.quarantined[p] {
 			delete(s.quarantined, p)
 			quarChanged = true
@@ -529,24 +516,6 @@ func (s *Server) syncPeerPlumbing() {
 		s.publishQuarantine()
 	}
 	s.publishMembers()
-}
-
-// spawnRepair starts the catch-up coroutine for p in term, once: a
-// member added mid-term must not get a second loop when plumbing is
-// re-synced.
-func (s *Server) spawnRepair(p string, term uint64) {
-	if s.repairing[p] == term {
-		return
-	}
-	s.repairing[p] = term
-	s.rt.Spawn("repair-"+p, func(rc *core.Coroutine) {
-		defer func() {
-			if s.repairing[p] == term {
-				delete(s.repairing, p)
-			}
-		}()
-		s.repairLoop(rc, p, term)
-	})
 }
 
 // retuneQuarCap recomputes the quorum-safe quarantine cap after the
@@ -650,63 +619,11 @@ func (s *Server) handleMembershipQuery(co *core.Coroutine, from string, req code
 	return info
 }
 
-// streamToLearners forwards a freshly appended batch — payload is its
-// encoded AppendEntries, chaining onto prev — to learners outside any
-// quorum: replies fold progress in via the append judge, but no learner
-// is ever waited on. Repair and snapshots cover the bootstrap gap;
-// streaming keeps a caught-up learner at the tip.
-func (s *Server) streamToLearners(payload []byte, prev, lastIdx, term uint64) {
-	for _, p := range s.otherLearners() {
-		p := p
-		ob := s.outboxes[p]
-		if ob == nil {
-			continue
-		}
-		// Stream only when this batch chains onto what the learner has
-		// acked or onto the last batch already in flight to it. A
-		// bootstrapping learner gets nothing — flooding it with tip
-		// batches it must reject would keep its outbox busy and starve
-		// the repair loop that owns the gap (snapshot + catch-up
-		// batches); repair re-anchors the chain once the gap closes.
-		if s.learnerStream[p] != prev && s.matchIndex[p] != prev {
-			continue
-		}
-		ev := core.NewResultEvent("rpc", p)
-		judge := s.appendJudge(p, lastIdx, term)
-		core.OnEvent(ev, func() {
-			if !judge(ev.Value(), ev.Err()) {
-				// Chain broken (timeout, discard, or reject): stop
-				// streaming until repair re-anchors at the real tail.
-				s.learnerStream[p] = 0
-			}
-		})
-		ob.SendPayload(payload, ev, int64(lastIdx))
-		s.learnerStream[p] = lastIdx
-	}
-}
-
-// waitReplicated polls (bounded) until p's matchIndex reaches at least
-// the log tip observed at each check, within lag entries. Used by the
-// replacement driver to gate learner promotion.
-func (s *Server) waitReplicated(co *core.Coroutine, p string, lag uint64, deadline time.Time) bool {
-	for {
-		if s.stopped || s.role != Leader {
-			return false
-		}
-		if m := s.matchIndex[p]; m > 0 && m+lag >= s.wal.LastIndex() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		// Poll cadence derived from the caller's deadline: never sleep
-		// past the budget, so a slow follower costs at most `deadline`.
-		nap := 5 * time.Millisecond
-		if rem := time.Until(deadline); rem < nap {
-			nap = rem
-		}
-		if err := co.Sleep(nap); err != nil {
-			return false
-		}
-	}
+// caughtUp reports whether learner p may be promoted: it takes the
+// fan-out and is within one batch of the commit index. Under saturating
+// load a healthy learner trails the tip by the batches in flight, so
+// "at the tip" would never hold at any one instant.
+func (s *Server) caughtUp(p string) bool {
+	pr := s.prs[p]
+	return pr != nil && pr.state == replicating && pr.match+uint64(s.cfg.RepairBatch) >= s.commitIndex
 }

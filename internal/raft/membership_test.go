@@ -483,3 +483,54 @@ func TestMembershipChangeUnderWriteStallKeepsLogOrder(t *testing.T) {
 	}
 	c.waitInStep(leader, followers)
 }
+
+// A learner joined while 48 writers saturate the leader is promoted.
+// Once caught up it takes the fan-out like any voter, and at the tip it
+// trails the commit index by the batches in flight; promotion asks that
+// it replicate within one batch of the commit index, not that it has
+// matched it at the instant the ConfPromote is validated.
+func TestLearnerPromotedUnderLoad(t *testing.T) {
+	c := newCluster(t, clusterOpts{n: 3, netBase: time.Millisecond})
+	leader := c.waitLeader()
+	srv := c.servers[leader]
+	addJoiner(c, "s4")
+	stop := leaderLoad(srv, 3100, 48)
+	time.Sleep(200 * time.Millisecond)
+
+	start := time.Now()
+	outcome := make(chan *MemberChangeReply, 1)
+	srv.rt.Spawn("admin", func(co *core.Coroutine) {
+		change := func(kind uint64) *MemberChangeReply {
+			return srv.handleMemberChange(co, "test", &MemberChange{Kind: kind, Node: "s4"}).(*MemberChangeReply)
+		}
+		if r := change(ConfAddLearner); !r.OK {
+			outcome <- r
+			return
+		}
+		// ErrLearnerBehind and ErrConfPending are retried, as the
+		// replacement driver does.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			r := change(ConfPromote)
+			if r.OK || time.Now().After(deadline) || co.Sleep(10*time.Millisecond) != nil {
+				outcome <- r
+				return
+			}
+		}
+	})
+	var r *MemberChangeReply
+	select {
+	case r = <-outcome:
+	case <-time.After(20 * time.Second):
+		t.Fatal("membership change hung")
+	}
+	took := time.Since(start)
+	writes, failed := stop()
+	t.Logf("%d writes; add and promote took %v (last reply %+v)", writes, took, r)
+	if voters, learners := srv.Members(); !r.OK || !hasMember(voters, "s4") || len(learners) != 0 {
+		t.Errorf("s4 not promoted under load: voters=%v learners=%v, last reply %+v", voters, learners, r)
+	}
+	if failed != 0 {
+		t.Errorf("%d of %d writes failed", failed, writes)
+	}
+}

@@ -5,7 +5,7 @@
 // a peer to condemned (rehabilitation kept failing, or the cumulative
 // slow time blew the budget), the leader replaces it: remove the
 // condemned voter from the configuration, join a spare as a learner
-// (snapshot bootstrap + log streaming), and promote the spare once it
+// (snapshot bootstrap, then catch-up), and promote the spare once it
 // has caught up — restoring full replication factor while the group
 // keeps serving traffic.
 package raft
@@ -18,16 +18,10 @@ import (
 	"depfast/internal/obs"
 )
 
-const (
-	// replacementCatchupLag is how close (in log entries) a learner must
-	// trail the tip before promotion is attempted; proposeConf makes the
-	// strict check against commitIndex under the baton.
-	replacementCatchupLag = 64
-	// replacementDeadline bounds one replacement attempt end to end.
-	// Past it the driver gives up; the policy keeps the peer condemned,
-	// so the next sentinel tick schedules a fresh attempt.
-	replacementDeadline = 15 * time.Second
-)
+// replacementDeadline bounds one replacement attempt end to end. Past
+// it the driver gives up; the policy keeps the peer condemned, so the
+// next sentinel tick schedules a fresh attempt.
+const replacementDeadline = 15 * time.Second
 
 // beginReplacement starts the replacement pipeline for a condemned
 // voter, at most one at a time. Baton context only.
@@ -83,33 +77,27 @@ func (s *Server) driveReplacement(co *core.Coroutine, p string, term uint64) {
 	if _, err := s.proposeConf(co, &ConfChange{Kind: ConfAddLearner, Node: spare}); err != nil {
 		return
 	}
+	// Poll the learner's progress; promote once it is caught up, and
+	// retry while it falls back behind or the add has not committed.
 	deadline := time.Now().Add(replacementDeadline)
-	caughtUp := false
-	for {
-		if !s.waitReplicated(co, spare, replacementCatchupLag, deadline) {
-			return
-		}
-		if s.role != Leader || s.term != term {
-			return
-		}
-		if !caughtUp {
+	for caughtUp := false; s.role == Leader && s.term == term && time.Now().Before(deadline); {
+		if !caughtUp && s.caughtUp(spare) {
 			caughtUp = true
 			s.rec.Emit(obs.Event{Type: obs.LearnerCaughtUp, Node: s.cfg.ID, Peer: spare,
-				Fields: map[string]float64{"match_index": float64(s.matchIndex[spare])}})
+				Fields: map[string]float64{"match_index": float64(s.prs[spare].match)}})
 		}
-		_, err := s.proposeConf(co, &ConfChange{Kind: ConfPromote, Node: spare})
-		switch {
-		case err == nil:
-			s.rec.Emit(obs.Event{Type: obs.ReplacementCompleted, Node: s.cfg.ID, Peer: p,
-				Detail: spare})
-			return
-		case errors.Is(err, ErrLearnerBehind) || errors.Is(err, ErrConfPending):
-			// The tip moved or the previous change has not committed on a
-			// quorum yet; let the stream close the gap and retry.
-			if co.Sleep(10*time.Millisecond) != nil {
+		if caughtUp {
+			_, err := s.proposeConf(co, &ConfChange{Kind: ConfPromote, Node: spare})
+			if err == nil {
+				s.rec.Emit(obs.Event{Type: obs.ReplacementCompleted, Node: s.cfg.ID, Peer: p,
+					Detail: spare})
 				return
 			}
-		default:
+			if !errors.Is(err, ErrLearnerBehind) && !errors.Is(err, ErrConfPending) {
+				return
+			}
+		}
+		if co.Sleep(5*time.Millisecond) != nil {
 			return
 		}
 	}

@@ -78,61 +78,53 @@ func (s *Server) broadcastTargets() []string {
 	return targets
 }
 
-// appendJudge classifies one follower's AppendEntries outcome and
-// folds its progress into leader bookkeeping. Judges run under the
-// baton when the reply event fires. The construction time is the
-// (conservative) send timestamp fed to the leader lease: judges are
-// built immediately before their message is dispatched, so an acked
-// reply proves the voter was reachable after sentAt.
-func (s *Server) appendJudge(p string, idx, term uint64) func(interface{}, error) bool {
+// appendJudge classifies one AppendEntries outcome toward p and folds
+// it into leader state: the follower's piggybacked verdicts, a higher
+// term, the lease and, for a message carrying entries through last,
+// pr — nil for a heartbeat, which never moves progress. Any outcome
+// wakes p's sender unless p is in step at the tip. Judges run under
+// the baton when the reply event fires; they are built immediately
+// before their message is dispatched, so an acked reply proves the
+// voter was reachable after sentAt (the lease's conservative send
+// time).
+func (s *Server) appendJudge(p string, pr *progress, last, term uint64) func(interface{}, error) bool {
 	sentAt := time.Now()
 	return func(v interface{}, err error) bool {
+		reply, _ := v.(*AppendEntriesReply)
 		if err != nil {
-			return false // timeout / discard / overflow: no ack
+			reply = nil // timeout, discard, overflow or refusal: no reply
 		}
-		reply, ok := v.(*AppendEntriesReply)
-		if !ok {
-			return false
-		}
-		if s.cfg.Mitigation && reply.From != "" {
-			// Fold the follower's slow-leader vote into the sentinel's
-			// self-observation inputs.
-			if reply.LeaderSlow {
-				s.slowVotes[reply.From] = time.Now()
-			} else {
-				delete(s.slowVotes, reply.From)
+		if reply != nil {
+			if s.cfg.Mitigation && reply.From != "" {
+				// Fold the follower's slow-leader vote into the sentinel's
+				// self-observation inputs.
+				if reply.LeaderSlow {
+					s.slowVotes[reply.From] = time.Now()
+				} else {
+					delete(s.slowVotes, reply.From)
+				}
+				s.notePeerSelfSlow(reply.From, reply.SelfSlow)
 			}
-			s.notePeerSelfSlow(reply.From, reply.SelfSlow)
+			if reply.Term > s.term {
+				s.stepDown(reply.Term, "")
+				return false
+			}
 		}
-		if reply.Term > s.term {
-			s.stepDown(reply.Term, "")
+		cur := s.prs[p]
+		if s.role != Leader || s.term != term || cur == nil || pr != nil && pr != cur {
 			return false
 		}
-		if s.role != Leader || s.term != term {
-			return false
+		ok := reply != nil && reply.Success
+		if pr != nil {
+			ok = pr.onAppend(reply, last)
 		}
-		if reply.Success {
-			s.noteProgress(p, reply.LastIndex)
+		if ok {
 			s.noteLeaseAck(p, sentAt, term)
-			return reply.LastIndex >= idx
 		}
-		// Log mismatch: back nextIndex up to the follower's hint.
-		if n := reply.LastIndex + 1; n < s.nextIndex[p] {
-			s.nextIndex[p] = n
-		} else if s.nextIndex[p] > 1 {
-			s.nextIndex[p]--
+		if cur.state != replicating || cur.next <= s.wal.LastIndex() {
+			cur.wake() // a peer in step at the tip has nothing to be sent
 		}
-		return false
-	}
-}
-
-// noteProgress advances matchIndex/nextIndex for p.
-func (s *Server) noteProgress(p string, lastIndex uint64) {
-	if lastIndex > s.matchIndex[p] {
-		s.matchIndex[p] = lastIndex
-	}
-	if lastIndex+1 > s.nextIndex[p] {
-		s.nextIndex[p] = lastIndex + 1
+		return ok
 	}
 }
 
@@ -156,7 +148,7 @@ func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.
 		// can catch up. Bounce the client straight to the heir.
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: s.transferTo, Err: ErrNotLeader.Error()}
 	}
-	s.e.Compute(s.cfg.LeaderComputePerOp)
+	s.e.Compute(leaderComputePerOp)
 	// Adopt the wire-propagated causal context: server-side pipeline
 	// spans parent under the client's RPC-attempt span.
 	var tc xtrace.Context
@@ -191,7 +183,7 @@ func (s *Server) readIndex(co *core.Coroutine, m *kv.ClientRequest, tc xtrace.Co
 	if s.lastApplied < readIdx {
 		sig := core.NewSignalEvent()
 		s.appliedWaiters = append(s.appliedWaiters, appliedWaiter{idx: readIdx, sig: sig})
-		if co.WaitFor(sig, s.cfg.CommitTimeout) != core.WaitReady {
+		if co.WaitFor(sig, commitTimeout) != core.WaitReady {
 			return &kv.ClientResponse{OK: false, Err: "readindex: apply lag"}
 		}
 	}
@@ -219,7 +211,7 @@ func (s *Server) readIndex(co *core.Coroutine, m *kv.ClientRequest, tc xtrace.Co
 // follower.
 func (s *Server) handleAppendEntries(co *core.Coroutine, from string, req codec.Message) codec.Message {
 	m := req.(*AppendEntries)
-	s.e.Compute(s.cfg.FollowerComputePerOp)
+	s.e.Compute(followerComputePerOp)
 	if m.Term < s.term {
 		return &AppendEntriesReply{Term: s.term, Success: false, LastIndex: s.wal.LastIndex(), From: s.cfg.ID}
 	}
@@ -238,9 +230,12 @@ func (s *Server) handleAppendEntries(co *core.Coroutine, from string, req codec.
 	leaderSlow := s.leaderSeemsSlow()
 	selfSlow := s.selfSlowAdvert()
 
-	// Entries already covered by our snapshot are dropped up front.
+	// A success vouches for the log through vouched and no further: what
+	// this follower holds past it may differ from the leader's log
+	// (Raft Fig. 2). Trimming entries covered by our snapshot keeps it.
+	vouched := m.PrevLogIndex + uint64(len(m.Entries))
 	if !s.trimSnapshotCovered(m) {
-		return &AppendEntriesReply{Term: s.term, Success: true, LastIndex: s.wal.LastIndex(), From: s.cfg.ID, LeaderSlow: leaderSlow, SelfSlow: selfSlow}
+		return &AppendEntriesReply{Term: s.term, Success: true, LastIndex: vouched, From: s.cfg.ID, LeaderSlow: leaderSlow, SelfSlow: selfSlow}
 	}
 
 	// Consistency check on the previous entry.
@@ -300,21 +295,17 @@ func (s *Server) handleAppendEntries(co *core.Coroutine, from string, req codec.
 		// measured wait rides the reply so the leader can attribute a
 		// slow replication span to this follower's disk vs the link.
 		fsStart := time.Now()
-		if co.WaitFor(fsync, s.cfg.DiskWaitTimeout) != core.WaitReady {
+		if co.WaitFor(fsync, diskWaitTimeout) != core.WaitReady {
 			return &AppendEntriesReply{Term: s.term, Success: false, LastIndex: s.wal.LastIndex(), From: s.cfg.ID, LeaderSlow: leaderSlow, SelfSlow: selfSlow}
 		}
 		fsyncUs = time.Since(fsStart).Microseconds()
 	}
 
-	if m.LeaderCommit > s.commitIndex {
-		limit := s.wal.LastIndex()
-		if m.LeaderCommit < limit {
-			limit = m.LeaderCommit
-		}
+	if limit := min(m.LeaderCommit, vouched); limit > s.commitIndex {
 		s.commitIndex = limit
 		s.applyUpTo()
 	}
-	return &AppendEntriesReply{Term: s.term, Success: true, LastIndex: s.wal.LastIndex(), From: s.cfg.ID, LeaderSlow: leaderSlow, SelfSlow: selfSlow, FsyncUs: fsyncUs}
+	return &AppendEntriesReply{Term: s.term, Success: true, LastIndex: vouched, From: s.cfg.ID, LeaderSlow: leaderSlow, SelfSlow: selfSlow, FsyncUs: fsyncUs}
 }
 
 // heartbeatLoop broadcasts empty AppendEntries while leader of term.
@@ -323,18 +314,8 @@ func (s *Server) handleAppendEntries(co *core.Coroutine, from string, req codec.
 func (s *Server) heartbeatLoop(co *core.Coroutine, term uint64) {
 	for s.role == Leader && s.term == term && !s.stopped {
 		for _, p := range s.others() {
-			p := p
-			prev := s.nextIndex[p] - 1
-			ae := &AppendEntries{
-				Term:         term,
-				Leader:       s.cfg.ID,
-				PrevLogIndex: prev,
-				PrevLogTerm:  s.termOf(prev),
-				LeaderCommit: s.commitIndex,
-				SentAtNs:     time.Now().UnixNano(),
-			}
-			ev := s.ep.Call(p, ae)
-			judge := s.appendJudge(p, 0, term)
+			ev := s.heartbeat(p, term)
+			judge := s.appendJudge(p, nil, 0, term)
 			core.OnEvent(ev, func() { judge(ev.Value(), ev.Err()) })
 		}
 		if err := co.Sleep(s.cfg.HeartbeatInterval); err != nil {
@@ -343,109 +324,174 @@ func (s *Server) heartbeatLoop(co *core.Coroutine, term uint64) {
 	}
 }
 
-// repairLoop catches a lagging follower up: whenever the follower is
-// behind and nothing is queued toward it, read the missing range
-// (entry cache first, WAL otherwise — asynchronously, never blocking
-// the runtime) and ship one batch. Reply processing is hook-based;
-// the loop never waits on the follower, so a fail-slow follower only
-// slows its own repair. Quarantined followers are repaired at
-// PaceFactor × RepairInterval and via snapshot whenever one covers
-// their gap, so rehabilitation traffic cannot re-congest them.
-func (s *Server) repairLoop(co *core.Coroutine, p string, term uint64) {
-	inflight := false
-	for s.role == Leader && s.term == term && !s.stopped {
-		// A peer removed from the configuration has no outbox and needs
-		// no catch-up; its repair coroutine simply ends.
-		if !s.isMember(p) {
-			return
+// heartbeat sends p an empty AppendEntries anchored at its match index,
+// which it is known to hold: the follower may commit up to there, and a
+// replicating peer's pipeline is never questioned by one.
+func (s *Server) heartbeat(p string, term uint64) *core.ResultEvent {
+	match := s.prs[p].match
+	return s.ep.Call(p, &AppendEntries{
+		Term:         term,
+		Leader:       s.cfg.ID,
+		PrevLogIndex: match,
+		PrevLogTerm:  s.termOf(match),
+		LeaderCommit: s.commitIndex,
+		SentAtNs:     time.Now().UnixNano(),
+	})
+}
+
+// Replication progress. Every other member, voter or learner, has one
+// progress on the leader (the etcd-raft Progress shape): match is the
+// highest index known to be on it, next the first index to send it, and
+// state says how to reach it. The fan-out (batch.go flush) feeds a
+// replicating peer whose next is the batch's first index; everything
+// else — the gap behind a probe or a lagging replicate, and snapshots —
+// is shipped by the peer's one sender coroutine, clocked by the peer's
+// own replies and bounded by its outbox window. No timer paces it: a
+// slow peer is sent as fast as it answers.
+type progress struct {
+	next, match uint64
+	state       peerState
+	kick        *core.SignalEvent // what the parked sender waits on
+}
+
+// peerState is how the leader reaches one peer.
+type peerState uint8
+
+const (
+	// replicating: the peer takes the fan-out, and catch-up pipelines up
+	// to its outbox window.
+	replicating peerState = iota
+	// probing: where the peer's log ends is unknown; one message at a
+	// time, its reply places next.
+	probing
+	// snapshotting: the snapshot is the only message in flight.
+	snapshotting
+)
+
+// wake unparks the peer's sender so it looks at the state again.
+func (pr *progress) wake() {
+	if pr.kick != nil {
+		pr.kick.Set()
+	}
+}
+
+// probe drops the peer to probing at next.
+func (pr *progress) probe(next uint64) { pr.state, pr.next = probing, next }
+
+// onAppend folds the outcome of an AppendEntries that carried entries
+// through last — reply is nil when none came back — and reports whether
+// the peer acked last.
+func (pr *progress) onAppend(reply *AppendEntriesReply, last uint64) bool {
+	switch {
+	case reply == nil:
+		// Discarded, overflowed, timed out or refused: what the peer
+		// holds past match is unknown.
+		pr.probe(pr.match + 1)
+	case reply.Success:
+		pr.match = max(pr.match, reply.LastIndex)
+		pr.next = max(pr.next, pr.match+1)
+		if pr.state == probing {
+			pr.state = replicating
 		}
-		interval := s.cfg.RepairInterval
-		if s.quarantined[p] {
-			interval *= time.Duration(s.pace)
+		return reply.LastIndex >= last
+	case reply.LastIndex >= pr.match:
+		// A log mismatch: the hint is the follower's last index below the
+		// rejected one. (A hint under match answers a message a later
+		// success overtook, and changes nothing.)
+		pr.probe(max(pr.match+1, min(reply.LastIndex+1, pr.next)))
+	}
+	return false
+}
+
+// track starts leader-side progress for p and its sender coroutine,
+// which lives exactly as long as this progress does.
+func (s *Server) track(p string, pr *progress) {
+	s.prs[p] = pr
+	term := s.term
+	s.rt.Spawn("replicate-"+p, func(co *core.Coroutine) { s.sendLoop(co, p, pr, term) })
+}
+
+// sendLoop is p's sender: it ships what p may be sent, then parks on a
+// fresh kick until an outcome toward p (a heartbeat's included), a
+// flush that left p out, or a leadership or membership change wakes
+// it. A send that fails before reaching the wire also parks it, so a
+// peer that cannot be reached is retried at the heartbeat's pace.
+func (s *Server) sendLoop(co *core.Coroutine, p string, pr *progress, term uint64) {
+	for s.role == Leader && s.term == term && s.prs[p] == pr && !s.stopped {
+		if s.sendNext(co, p, pr, term) {
+			continue
 		}
-		if !inflight && s.matchIndex[p] < s.wal.LastIndex() &&
-			s.outboxes[p].QueueLen() == 0 && s.outboxes[p].Inflight() == 0 {
-			lo := s.nextIndex[p]
-			// Ship the snapshot instead of entries when the follower's
-			// missing prefix was compacted away — or when the follower
-			// is quarantined and a snapshot covers its gap (one bulk
-			// transfer beats a stream of batches into a slow node).
-			if s.snapIndex > 0 && s.matchIndex[p] < s.snapIndex &&
-				(lo < s.wal.FirstIndex() || s.quarantined[p]) {
-				inflight = true
-				s.sendSnapshot(p, term, func() { inflight = false })
-				if err := co.Sleep(interval); err != nil {
-					return
-				}
-				continue
-			}
-			if lo < s.wal.FirstIndex() {
-				lo = s.wal.FirstIndex()
-			}
-			hi := s.wal.LastIndex()
-			if hi >= lo {
-				if max := lo + uint64(s.cfg.RepairBatch) - 1; hi > max {
-					hi = max
-				}
-				entries, fromCache := s.gatherEntries(lo, hi)
-				if !fromCache {
-					// Fetch from the WAL without blocking the runtime. A
-					// fail-slow disk costs us one repair round, not the
-					// whole repair loop: on timeout skip this pass and
-					// retry next interval.
-					ev := s.wal.ReadAsync(lo, hi)
-					switch co.WaitFor(ev, s.cfg.DiskWaitTimeout) {
-					case core.WaitStopped:
-						return
-					case core.WaitTimeout:
-						if err := co.Sleep(interval); err != nil {
-							return
-						}
-						continue
-					}
-					if s.role != Leader || s.term != term || !s.isMember(p) {
-						return
-					}
-					entries, _ = ev.Value().([]storage.Entry)
-				}
-				if len(entries) > 0 {
-					s.RepairSends.Inc()
-					ae := &AppendEntries{
-						Term:         term,
-						Leader:       s.cfg.ID,
-						PrevLogIndex: lo - 1,
-						PrevLogTerm:  s.termOf(lo - 1),
-						Entries:      entries,
-						LeaderCommit: s.commitIndex,
-					}
-					ev := core.NewResultEvent("rpc", p)
-					judge := s.appendJudge(p, hi, term)
-					inflight = true
-					core.OnEvent(ev, func() {
-						judge(ev.Value(), ev.Err())
-						inflight = false
-					})
-					s.outboxes[p].Send(ae, ev, int64(hi))
-					if s.mem.isLearner(p) {
-						// Anchor the learner stream on this batch: the next
-						// proposal whose prev is hi chains onto it without
-						// waiting for the ack, handing the tip over from
-						// repair to streaming with no quiet-window race.
-						s.learnerStream[p] = hi
-					}
-				}
-			}
-		}
-		if err := co.Sleep(interval); err != nil {
+		pr.kick = core.NewSignalEvent()
+		if co.Wait(pr.kick) != nil {
 			return
 		}
 	}
 }
 
+// sendNext sends p's next catch-up message if its state and outbox
+// window admit one: the snapshot when p's gap is compacted away (or p
+// is quarantined and a snapshot covers the gap), else entries from
+// next, up to RepairBatch of them — none for a probe at the tip. It
+// reports whether to look again at once: a message went on the wire, or
+// the state moved while the entries were read from the WAL.
+func (s *Server) sendNext(co *core.Coroutine, p string, pr *progress, term uint64) bool {
+	snap := s.snapIndex > 0 && pr.match < s.snapIndex &&
+		(pr.next < s.wal.FirstIndex() || s.quarantined[p])
+	window := 1 // a probe and a snapshot travel alone
+	if pr.state == replicating && !snap {
+		window = s.cfg.OutboxWindow
+	}
+	ob := s.outboxes[p]
+	if pr.state == snapshotting || ob.QueueLen()+ob.Inflight() >= window ||
+		!snap && pr.state == replicating && pr.next > s.wal.LastIndex() {
+		return false
+	}
+	ev := core.NewResultEvent("rpc", p)
+	if snap {
+		s.sendSnapshot(p, pr, term, ev)
+		return !ev.Ready()
+	}
+	lo, state := pr.next, pr.state
+	hi := min(s.wal.LastIndex(), lo+uint64(s.cfg.RepairBatch)-1)
+	prevTerm := s.termOf(lo - 1)
+	entries, cached := s.gatherEntries(lo, hi)
+	if !cached {
+		// Read the WAL without blocking the runtime: a fail-slow disk
+		// costs this peer a retry and nobody else a wait.
+		read := s.wal.ReadAsync(lo, hi)
+		switch co.WaitFor(read, diskWaitTimeout) {
+		case core.WaitStopped:
+			return false // the park that follows returns at once
+		case core.WaitTimeout:
+			return true
+		}
+		if s.role != Leader || s.term != term || s.prs[p] != pr || pr.next != lo || pr.state != state {
+			return true
+		}
+		entries, _ = read.Value().([]storage.Entry)
+	}
+	pr.next = hi + 1
+	s.RepairSends.Inc()
+	judge := s.appendJudge(p, pr, hi, term)
+	core.OnEvent(ev, func() { judge(ev.Value(), ev.Err()) })
+	s.outboxes[p].Send(&AppendEntries{
+		Term:         term,
+		Leader:       s.cfg.ID,
+		PrevLogIndex: lo - 1,
+		PrevLogTerm:  prevTerm,
+		Entries:      entries,
+		LeaderCommit: s.commitIndex,
+	}, ev, int64(hi))
+	return !ev.Ready()
+}
+
 // gatherEntries returns [lo,hi] from the entry cache if fully
-// resident; otherwise reports a cache miss so the caller reads the
-// WAL.
+// resident (an empty range always is); otherwise reports a cache miss
+// so the caller reads the WAL.
 func (s *Server) gatherEntries(lo, hi uint64) ([]storage.Entry, bool) {
+	if hi < lo {
+		return nil, true
+	}
 	out := make([]storage.Entry, 0, hi-lo+1)
 	for i := lo; i <= hi; i++ {
 		e, ok := s.cache.Get(i)

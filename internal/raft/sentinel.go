@@ -21,8 +21,9 @@ import (
 //     the most caught-up unsuspected follower via TimeoutNow.
 //   - Quarantine: a suspected follower stops being charged to
 //     latency-critical quorum waits (propose/readIndex skip it), its
-//     queued backlog is discarded, and its catch-up is paced via
-//     snapshots at PaceFactor × RepairInterval.
+//     queued backlog is discarded, and it is caught up by snapshot
+//     whenever one covers its gap — clocked by its own replies like
+//     any peer, so it is never sent faster than it answers.
 //   - Release: a quarantined follower showed RehabRTTs consecutive
 //     healthy round-trips (heartbeats keep flowing to quarantined
 //     peers precisely so this probe channel exists) and rejoins
@@ -184,8 +185,8 @@ func (s *Server) peerSelfSlowFresh(p string) bool {
 }
 
 // enterQuarantine excludes p from quorum accounting and sheds its
-// backlog; repair will catch it up slowly, via snapshot when one
-// covers the gap.
+// backlog, which drops it to probing; its sender catches it up, via
+// snapshot when one covers the gap.
 func (s *Server) enterQuarantine(p string) {
 	if s.quarantined[p] || !s.isVoter(p) {
 		return
@@ -300,7 +301,7 @@ func (s *Server) driveTransfer(co *core.Coroutine) {
 			return
 		}
 		// The frozen log includes what still queues behind the commit gate.
-		if !sent && len(s.pending) == 0 && s.matchIndex[s.transferTo] >= s.wal.LastIndex() {
+		if pr := s.prs[s.transferTo]; !sent && len(s.pending) == 0 && pr != nil && pr.match >= s.wal.LastIndex() {
 			sent = true
 			s.Mitigation.Transfers.Inc()
 			s.rec.Emit(obs.Event{Type: obs.HandoffDrained, Node: s.cfg.ID, Peer: s.transferTo,

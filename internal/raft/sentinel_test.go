@@ -157,10 +157,10 @@ func TestTransferTargetExcludesSuspects(t *testing.T) {
 		others := s.others()
 		saved := map[string]uint64{}
 		for _, p := range others {
-			saved[p] = s.matchIndex[p]
+			saved[p] = s.prs[p].match
 		}
-		s.matchIndex[others[0]] = 100
-		s.matchIndex[others[1]] = 50
+		s.prs[others[0]].match = 100
+		s.prs[others[1]].match = 50
 		r := result{
 			best:      s.transferTarget(nil),
 			skipFirst: s.transferTarget(map[string]bool{others[0]: true}),
@@ -169,7 +169,7 @@ func TestTransferTargetExcludesSuspects(t *testing.T) {
 			}),
 		}
 		for p, m := range saved {
-			s.matchIndex[p] = m
+			s.prs[p].match = m
 		}
 		resCh <- r
 	})

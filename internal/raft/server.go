@@ -60,36 +60,20 @@ type Config struct {
 	ElectionTimeoutMax time.Duration
 	HeartbeatInterval  time.Duration
 
-	// CommitTimeout bounds how long a proposal waits for its quorum.
-	CommitTimeout time.Duration
-
-	// DiskWaitTimeout bounds any single coroutine wait on local disk
-	// I/O (vote/term persists, log fsyncs, WAL reads). A fail-slow
-	// disk then surfaces as an explicit timeout the caller handles —
-	// abort the campaign, deny the vote, reject the append — instead
-	// of an indefinitely parked coroutine.
-	DiskWaitTimeout time.Duration
-
-	// LeaderComputePerOp and FollowerComputePerOp are the nominal CPU
-	// costs charged per request — the knob the CPU fault stretches.
-	LeaderComputePerOp   time.Duration
-	FollowerComputePerOp time.Duration
-
 	// EntryCacheSize bounds the in-memory entry cache; followers
 	// lagging past it are served from the WAL.
 	EntryCacheSize int
 
-	// OutboxWindow and OutboxCapacity shape per-follower connections.
-	// A bounded outbox plus QuorumDiscard is the DepFast configuration;
-	// the framework drops backlog for stragglers once a quorum holds.
-	OutboxWindow   int
-	OutboxCapacity int
-	QuorumDiscard  bool
+	// OutboxWindow is each peer connection's in-flight message limit,
+	// and the number of batches the commit gate lets await a quorum.
+	// QuorumDiscard is the DepFast configuration: the framework drops a
+	// straggler's queued backlog once a quorum holds.
+	OutboxWindow  int
+	QuorumDiscard bool
 
-	// RepairInterval paces catch-up for lagging followers; RepairBatch
-	// bounds entries per catch-up message.
-	RepairInterval time.Duration
-	RepairBatch    int
+	// RepairBatch bounds the entries of one batch and of one catch-up
+	// message.
+	RepairBatch int
 
 	// ReadIndex serves linearizable reads via a leadership-check
 	// quorum instead of replicating a log entry.
@@ -100,17 +84,14 @@ type Config struct {
 	// within the lease window (see lease.go for the safety argument).
 	// Requires ReadIndex; expiry falls back to the classic quorum.
 	LeaderLease bool
-	// LeaseDuration bounds the lease window; it is always clamped to
-	// 4/5 × ElectionTimeoutMin (zero takes the clamp itself).
-	LeaseDuration time.Duration
 
 	// MaxDirtyAppends bounds how many un-fsynced leader appends may be
 	// outstanding before the commit path takes a bounded wait on the
 	// oldest flush — the RocksDB-style write stall from the paper's
 	// TiDB case study. Without it a leader whose quorums are carried
 	// by healthy followers runs unboundedly ahead of its own fail-slow
-	// disk, and the fault never surfaces anywhere. Negative disables
-	// the stall; 0 selects the default.
+	// disk, and the fault never surfaces anywhere. Zero or negative
+	// disables the stall.
 	MaxDirtyAppends int
 
 	// SnapshotThreshold compacts the log (taking a state-machine
@@ -124,12 +105,6 @@ type Config struct {
 	// durability simulated (costs only), which is what experiments
 	// use.
 	Persister storage.Persister
-
-	// PreVote runs a non-disruptive probe round before bumping terms,
-	// so a follower that briefly lost contact (e.g. the moment a
-	// fail-slow fault lands on its NIC) cannot depose a healthy
-	// leader with a spurious term bump.
-	PreVote bool
 
 	// PeerDetector attaches a fail-slow peer detector fed by every
 	// RPC round-trip (paper §5: failure detectors from trace points);
@@ -147,8 +122,8 @@ type Config struct {
 	// observes its own CPU/disk stalls (or a majority of followers
 	// voting it slow) hands leadership off; suspected followers are
 	// quarantined out of latency-critical quorum waits, their backlog
-	// discarded and catch-up paced via snapshots, then rehabilitated
-	// after a run of healthy round-trips. Implies PeerDetector.
+	// discarded (a snapshot closes their gap when one covers it), then
+	// rehabilitated after a run of healthy round-trips. Implies PeerDetector.
 	Mitigation bool
 
 	// AutoReplace makes the sentinel's mitigation terminal: a follower
@@ -191,9 +166,6 @@ type Config struct {
 	// cost.
 	Metrics *metrics.Registry
 
-	// DiskHelpers sizes the I/O helper pool.
-	DiskHelpers int
-
 	// Seed randomizes election timeouts deterministically per server.
 	Seed int64
 }
@@ -201,29 +173,42 @@ type Config struct {
 // DefaultConfig returns laptop-scale timing for id among peers.
 func DefaultConfig(id string, peers []string) Config {
 	return Config{
-		ID:                   id,
-		Peers:                peers,
-		ElectionTimeoutMin:   150 * time.Millisecond,
-		ElectionTimeoutMax:   300 * time.Millisecond,
-		HeartbeatInterval:    30 * time.Millisecond,
-		CommitTimeout:        2 * time.Second,
-		DiskWaitTimeout:      2 * time.Second,
-		LeaderComputePerOp:   30 * time.Microsecond,
-		FollowerComputePerOp: 15 * time.Microsecond,
-		EntryCacheSize:       4096,
-		OutboxWindow:         16,
-		OutboxCapacity:       4096,
-		QuorumDiscard:        true,
-		RepairInterval:       20 * time.Millisecond,
-		RepairBatch:          64,
-		SnapshotThreshold:    16384,
-		MaxDirtyAppends:      64,
-		PreVote:              true,
-		SlowLeaderThreshold:  8,
-		DiskHelpers:          16,
-		Seed:                 seedFor(id),
+		ID:                  id,
+		Peers:               peers,
+		ElectionTimeoutMin:  150 * time.Millisecond,
+		ElectionTimeoutMax:  300 * time.Millisecond,
+		HeartbeatInterval:   30 * time.Millisecond,
+		EntryCacheSize:      4096,
+		OutboxWindow:        16,
+		QuorumDiscard:       true,
+		RepairBatch:         64,
+		SnapshotThreshold:   16384,
+		MaxDirtyAppends:     64,
+		SlowLeaderThreshold: 8,
+		Seed:                seedFor(id),
 	}
 }
+
+// Fixed timing and sizing that no deployment varies.
+const (
+	// commitTimeout bounds how long a proposal waits for its quorum, and
+	// every RPC this server makes.
+	commitTimeout = 2 * time.Second
+	// diskWaitTimeout bounds any single coroutine wait on local disk I/O
+	// (vote/term persists, log fsyncs, WAL reads). A fail-slow disk then
+	// surfaces as an explicit timeout the caller handles — abort the
+	// campaign, deny the vote, reject the append — instead of an
+	// indefinitely parked coroutine.
+	diskWaitTimeout = 2 * time.Second
+	// leaderComputePerOp and followerComputePerOp are the nominal CPU
+	// costs charged per request — what the CPU fault stretches.
+	leaderComputePerOp   = 30 * time.Microsecond
+	followerComputePerOp = 15 * time.Microsecond
+	// outboxCapacity bounds the queued, unsent backlog toward one peer.
+	outboxCapacity = 4096
+	// diskHelpers sizes the I/O helper pool.
+	diskHelpers = 16
+)
 
 // seedFor derives the default election-timeout seed from the full node
 // ID (FNV-1a), not just its length: peers are conventionally named
@@ -271,19 +256,19 @@ type Server struct {
 	transferTo      string
 	transferExpire  time.Time
 
-	nextIndex  map[string]uint64
-	matchIndex map[string]uint64
-	outboxes   map[string]*rpc.Outbox
+	// prs is, on a leader, the replication progress of every other
+	// member (see replication.go); outboxes are the peer connections.
+	prs      map[string]*progress
+	outboxes map[string]*rpc.Outbox
 
 	// Dynamic membership (effective-on-append; see membership.go).
-	mem         memConfig         // effective config: governs quorums now
-	memApplied  memConfig         // config as of lastApplied (snapshots)
-	snapMem     memConfig         // config as of snapIndex (rollback floor)
-	confLog     []confRecord      // appended conf entries above snapIndex
-	removed     map[string]bool   // permanently removed members
-	repairing   map[string]uint64 // peer → term with a live repair loop
-	replacing   string            // follower with a replacement in flight
-	autoQuarCap bool              // MaxQuarantined tracks the voter count
+	mem         memConfig       // effective config: governs quorums now
+	memApplied  memConfig       // config as of lastApplied (snapshots)
+	snapMem     memConfig       // config as of snapIndex (rollback floor)
+	confLog     []confRecord    // appended conf entries above snapIndex
+	removed     map[string]bool // permanently removed members
+	replacing   string          // follower with a replacement in flight
+	autoQuarCap bool            // MaxQuarantined tracks the voter count
 
 	// Snapshot state: the log below snapIndex is compacted away.
 	snapIndex   uint64
@@ -307,18 +292,13 @@ type Server struct {
 	// Mitigation state — baton context only, except where noted.
 	policy       *mitigate.Policy     // nil unless cfg.Mitigation
 	quarantined  map[string]bool      // peers excluded from quorum waits
-	pace         int                  // repair slowdown for quarantined peers
 	selfCPU      *detect.Self         // own-CPU stretch monitor
 	selfDisk     *detect.Self         // own-disk stretch monitor
 	nominalCPU   time.Duration        // healthy cost of the CPU probe
 	nominalDisk  time.Duration        // healthy cost of the disk probe
 	slowVotes    map[string]time.Time // followers recently voting LeaderSlow
 	peerSelfSlow map[string]time.Time // followers recently advertising their own fail-slow
-	// learnerStream is, per learner, the last log index streamed to it;
-	// each streamed batch chains onto the previous one so the tip flows
-	// without per-batch acks. Zero = chain broken, repair re-anchors.
-	learnerStream map[string]uint64
-	selfSlowPub   bool // last published self-verdict (flight recorder)
+	selfSlowPub  bool                 // last published self-verdict (flight recorder)
 
 	// rec is the flight recorder (nil-safe; see cfg.Recorder).
 	rec *obs.Recorder
@@ -383,24 +363,6 @@ type appliedWaiter struct {
 // returned server's TransportHandler with the transport under cfg.ID,
 // then call Start.
 func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Option) *Server {
-	if cfg.EntryCacheSize <= 0 {
-		cfg.EntryCacheSize = 4096
-	}
-	if cfg.DiskWaitTimeout <= 0 {
-		cfg.DiskWaitTimeout = 2 * time.Second
-	}
-	if cfg.RepairBatch <= 0 {
-		cfg.RepairBatch = 64
-	}
-	if cfg.OutboxWindow <= 0 {
-		cfg.OutboxWindow = 8 // the rpc.Outbox default: the commit gate uses it too
-	}
-	if cfg.DiskHelpers <= 0 {
-		cfg.DiskHelpers = 4
-	}
-	if cfg.MaxDirtyAppends == 0 {
-		cfg.MaxDirtyAppends = 64
-	}
 	if cfg.AutoReplace {
 		// Replacement is driven by the sentinel's escalated verdicts.
 		cfg.Mitigation = true
@@ -416,8 +378,6 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 		rt:             rt,
 		e:              e,
 		role:           Follower,
-		nextIndex:      make(map[string]uint64),
-		matchIndex:     make(map[string]uint64),
 		outboxes:       make(map[string]*rpc.Outbox),
 		results:        make(map[uint64]kv.Result),
 		sm:             kv.NewSessions(kv.NewStore()),
@@ -436,11 +396,8 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 		quarantined:    make(map[string]bool),
 		slowVotes:      make(map[string]time.Time),
 		peerSelfSlow:   make(map[string]time.Time),
-		learnerStream:  make(map[string]uint64),
 		removed:        make(map[string]bool),
-		repairing:      make(map[string]uint64),
 		leaseAcks:      make(map[string]time.Time),
-		pace:           1,
 		rec:            cfg.Recorder,
 		trc:            cfg.Tracer,
 	}
@@ -467,7 +424,6 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 			s.autoQuarCap = true
 		}
 		s.policy = mitigate.NewPolicy(mcfg)
-		s.pace = mcfg.PaceFactor
 		s.selfCPU = detect.NewSelf("cpu", mcfg.SelfSlowFactor, 3)
 		s.selfDisk = detect.NewSelf("disk", mcfg.SelfSlowFactor, 3)
 		// Nominal probe costs are captured now, before any fault lands,
@@ -476,12 +432,12 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 		s.nominalDisk = e.DiskWriteCost(4096)
 	}
 	//depfast:allow framework-split NewServer is the construction seam: the one place logic wires up its I/O layer
-	s.disk = storage.NewDisk(rt, e, cfg.DiskHelpers)
+	s.disk = storage.NewDisk(rt, e, diskHelpers)
 	//depfast:allow framework-split construction seam
 	s.wal = storage.NewWAL(s.disk)
 	//depfast:allow framework-split construction seam
 	s.cache = storage.NewEntryCache(cfg.EntryCacheSize)
-	epOpts := []rpc.Option{rpc.WithCallTimeout(cfg.CommitTimeout)}
+	epOpts := []rpc.Option{rpc.WithCallTimeout(commitTimeout)}
 	if cfg.PeerDetector {
 		s.detector = detect.New(detect.DefaultConfig())
 		epOpts = append(epOpts, rpc.WithLatencyObserver(s.detector.Observe))
@@ -523,7 +479,7 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 func (s *Server) newOutbox(p string) *rpc.Outbox {
 	return rpc.NewOutbox(s.ep, p, rpc.OutboxConfig{
 		Window:   s.cfg.OutboxWindow,
-		Capacity: s.cfg.OutboxCapacity,
+		Capacity: outboxCapacity,
 		Env:      s.e,
 	})
 }
@@ -554,7 +510,7 @@ func (s *Server) Stop() {
 }
 
 // others returns all effective members (voters and learners) except
-// self — the set heartbeats and repair address.
+// self — the set heartbeats and replication address.
 func (s *Server) others() []string {
 	out := make([]string, 0, len(s.mem.voters)+len(s.mem.learners))
 	for _, p := range s.mem.voters {
@@ -664,6 +620,12 @@ func (s *Server) stepDown(term uint64, leader string) {
 	}
 	s.role = Follower
 	s.failPending(ErrDeposed)
+	// Progress is leader state: wake every sender so it sees the change
+	// and ends.
+	for _, pr := range s.prs {
+		pr.wake()
+	}
+	s.prs = nil
 	if leader != "" {
 		s.leaderHint = leader
 	}

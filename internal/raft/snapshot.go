@@ -123,43 +123,45 @@ func (s *Server) takeSnapshot() {
 	_ = s.disk.WriteAsync(len(s.snapData), nil)
 }
 
-// sendSnapshot ships the current snapshot to a lagging follower; the
-// reply is folded in through an event hook, never waited on.
-func (s *Server) sendSnapshot(p string, term uint64, onDone func()) {
-	msg := &InstallSnapshot{
-		Term:              term,
-		Leader:            s.cfg.ID,
-		LastIncludedIndex: s.snapIndex,
-		LastIncludedTerm:  s.snapTermVal,
-		Data:              s.snapData,
-	}
+// sendSnapshot ships the current snapshot to p as ev, the only message
+// in flight while pr is snapshotting. The reply is folded in through an
+// event hook, never waited on: an ack moves match to the snapshot, and
+// either way p goes back to probing past what it is known to hold.
+func (s *Server) sendSnapshot(p string, pr *progress, term uint64, ev *core.ResultEvent) {
 	snapIdx := s.snapIndex
-	ev := core.NewResultEvent("rpc", p)
+	pr.state = snapshotting
 	core.OnEvent(ev, func() {
-		defer onDone()
+		reply, _ := ev.Value().(*InstallSnapshotReply)
 		if ev.Err() != nil {
-			return
+			reply = nil
 		}
-		reply, ok := ev.Value().(*InstallSnapshotReply)
-		if !ok {
-			return
-		}
-		if reply.Term > s.term {
+		if reply != nil && reply.Term > s.term {
 			s.stepDown(reply.Term, "")
 			return
 		}
-		if reply.Success && s.role == Leader && s.term == term {
-			s.noteProgress(p, snapIdx)
+		if s.role != Leader || s.term != term || s.prs[p] != pr {
+			return
 		}
+		if reply != nil && reply.Success {
+			pr.match = max(pr.match, snapIdx)
+		}
+		pr.probe(pr.match + 1)
+		pr.wake()
 	})
 	s.RepairSends.Inc()
-	s.outboxes[p].Send(msg, ev, int64(snapIdx))
+	s.outboxes[p].Send(&InstallSnapshot{
+		Term:              term,
+		Leader:            s.cfg.ID,
+		LastIncludedIndex: snapIdx,
+		LastIncludedTerm:  s.snapTermVal,
+		Data:              s.snapData,
+	}, ev, int64(snapIdx))
 }
 
 // handleInstallSnapshot installs a leader snapshot on a follower.
 func (s *Server) handleInstallSnapshot(co *core.Coroutine, from string, req codec.Message) codec.Message {
 	m := req.(*InstallSnapshot)
-	s.e.Compute(s.cfg.FollowerComputePerOp)
+	s.e.Compute(followerComputePerOp)
 	if m.Term < s.term {
 		return &InstallSnapshotReply{Term: s.term, Success: false, LastIndex: s.wal.LastIndex(), From: s.cfg.ID}
 	}
@@ -169,8 +171,11 @@ func (s *Server) handleInstallSnapshot(co *core.Coroutine, from string, req code
 	s.leaderHint = m.Leader
 	s.observeHeartbeat()
 
-	if m.LastIncludedIndex <= s.lastApplied {
-		// Stale: we already have everything it covers.
+	if m.LastIncludedIndex <= s.lastApplied || s.termOf(m.LastIncludedIndex) == m.LastIncludedTerm {
+		// Stale: we already have everything it covers. Holding its last
+		// entry means holding the same prefix, and whatever follows stays
+		// (Raft Fig. 13): a late snapshot must not cut below what the
+		// leader has since counted as matched.
 		return &InstallSnapshotReply{Term: s.term, Success: true, LastIndex: s.wal.LastIndex(), From: s.cfg.ID}
 	}
 	mem, smData, hasMem := decodeSnapshotEnvelope(m.Data)
@@ -202,7 +207,7 @@ func (s *Server) handleInstallSnapshot(co *core.Coroutine, from string, req code
 	// bound: a fail-slow disk yields an explicit failed install the
 	// leader can retry, not a handler parked on local I/O.
 	fsync := s.disk.WriteAsync(len(m.Data), nil)
-	if co.WaitFor(fsync, s.cfg.DiskWaitTimeout) != core.WaitReady {
+	if co.WaitFor(fsync, diskWaitTimeout) != core.WaitReady {
 		return &InstallSnapshotReply{Term: s.term, Success: false, LastIndex: s.wal.LastIndex(), From: s.cfg.ID}
 	}
 	return &InstallSnapshotReply{Term: s.term, Success: true, LastIndex: s.wal.LastIndex(), From: s.cfg.ID}

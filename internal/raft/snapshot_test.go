@@ -183,3 +183,24 @@ func TestStoreRestoreCorrupt(t *testing.T) {
 		t.Fatal("corrupt snapshot restored without error")
 	}
 }
+
+// A snapshot that reaches a follower already holding its last entry —
+// a retry overtaken by catch-up — must not cut the log back to it
+// (Raft Fig. 13): the leader has counted what follows as matched, and
+// would otherwise probe below its match index forever.
+func TestLateSnapshotKeepsMatchedSuffix(t *testing.T) {
+	f, call := scriptedFollower(t)
+	if r, _ := call(&AppendEntries{Term: 1, Leader: "L", Entries: termOneLog(10)}).(*AppendEntriesReply); r == nil || !r.Success {
+		t.Fatalf("append: %+v", r)
+	}
+	data := encodeSnapshotEnvelope(memConfigFromPeers([]string{"f1", "L"}), kv.NewSessions(kv.NewStore()).Snapshot())
+	r, _ := call(&InstallSnapshot{Term: 1, Leader: "L", LastIncludedIndex: 5, LastIncludedTerm: 1, Data: data}).(*InstallSnapshotReply)
+	if r == nil || !r.Success {
+		t.Fatalf("install: %+v", r)
+	}
+	last := make(chan uint64, 1)
+	f.rt.Post(func() { last <- f.wal.LastIndex() })
+	if got := <-last; got != 10 {
+		t.Errorf("log ends at %d after a late snapshot through 5, want 10", got)
+	}
+}

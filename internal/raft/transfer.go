@@ -89,7 +89,7 @@ func (s *Server) suspectSet() map[string]bool {
 	return out
 }
 
-// transferTarget picks the follower with the highest matchIndex
+// transferTarget picks the follower with the highest match index
 // outside exclude. When every follower is excluded it falls back to
 // the best overall — a fail-slow follower can still be a better
 // leader than a fail-slow self. Baton context only.
@@ -97,7 +97,7 @@ func (s *Server) transferTarget(exclude map[string]bool) string {
 	var target, fallback string
 	var best, fbBest uint64
 	for _, p := range s.otherVoters() {
-		m := s.matchIndex[p]
+		m := s.prs[p].match
 		if fallback == "" || m > fbBest {
 			fallback, fbBest = p, m
 		}
@@ -145,7 +145,7 @@ func (s *Server) campaignTransfer(co *core.Coroutine) {
 	// Same bounded persist as campaign(): a fail-slow disk aborts the
 	// transfer campaign instead of parking it indefinitely.
 	persist := s.disk.WriteAsync(16, nil)
-	switch co.WaitFor(persist, s.cfg.DiskWaitTimeout) {
+	switch co.WaitFor(persist, diskWaitTimeout) {
 	case core.WaitStopped:
 		return
 	case core.WaitTimeout:
