@@ -5,6 +5,7 @@
 //	depfast-bench -exp table1    # one row (names: depfast-bench -h)
 //	depfast-bench -exp all       # every row, paper order first
 //	depfast-bench -exp hedge -quick -out BENCH_hedge.json
+//	depfast-bench -exp figure2 -dot spg.dot -waits run.jsonl
 //
 // One-off custom runs:
 //
@@ -31,6 +32,7 @@ import (
 	"depfast/internal/failslow"
 	"depfast/internal/harness"
 	"depfast/internal/obs"
+	"depfast/internal/trace"
 	"depfast/internal/ycsb"
 )
 
@@ -47,6 +49,7 @@ func main() {
 		benchOut = flag.String("out", "", "write the experiment's result JSON to this file")
 		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
 		timeline = flag.String("timeline", "", "write the flight-recorder timeline as JSONL to this file; analyze with depfast-report")
+		waits    = flag.String("waits", "", "write the first traced run's wait records as JSONL to this file (figure2, verify); analyze with depfast-report")
 
 		// -exp run flags.
 		system   = flag.String("system", "DepFastRaft", "run: DepFastRaft|SyncRSM|BufferRSM|CallbackRSM")
@@ -93,6 +96,7 @@ func main() {
 	}
 	failed := false
 	var outcomes []harness.Outcome
+	var col *trace.Collector // the first traced run's, for -waits
 	for _, name := range rows {
 		out, err := harness.RunRow(name, o)
 		if errors.Is(err, harness.ErrUnknownRow) {
@@ -109,6 +113,11 @@ func main() {
 		if *benchOut != "" { // results hold their whole flight recording
 			outcomes = append(outcomes, out)
 		}
+		for _, r := range out.Results {
+			if col == nil {
+				col = r.Collector
+			}
+		}
 	}
 
 	if *benchOut != "" {
@@ -120,6 +129,17 @@ func main() {
 		exitOn(err)
 		exitOn(os.WriteFile(*benchOut, append(b, '\n'), 0o644))
 		fmt.Printf("results written to %s\n", *benchOut)
+	}
+	if *waits != "" {
+		if col == nil {
+			exitOn(fmt.Errorf("-waits: experiment %s runs no traced cell (figure2 and verify do)", *exp))
+		}
+		f, err := os.Create(*waits)
+		exitOn(err)
+		exitOn(trace.WriteJSON(f, col))
+		exitOn(f.Close())
+		fmt.Printf("waits: %d records (%d dropped) written to %s (analyze with: depfast-report %s)\n",
+			col.Len(), col.Dropped(), *waits, *waits)
 	}
 	if o.Recorder != nil {
 		f, err := os.Create(*timeline)

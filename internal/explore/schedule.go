@@ -12,8 +12,8 @@
 // one-line replay spec that `depfast-explore -replay` re-executes.
 //
 // This is the paper's §3.3 testing-tool direction taken past random
-// injection (failslow.RandomFaults): schedules are first-class values
-// — enumerable, comparable, replayable, shrinkable.
+// injection: schedules are first-class values — enumerable,
+// comparable, replayable, shrinkable.
 package explore
 
 import (

@@ -2,8 +2,8 @@
 // it implements the simulated fail-slow fault catalog of Table 1 of
 // the paper (CPU slowness and contention, disk slowness and
 // contention, memory contention, network slowness) and applies faults
-// to node environments — directly, from the stochastic RandomFaults
-// model, or step by step through a Script.
+// to node environments — directly, or step by step through a Script
+// that a driver (the harness engine, the schedule explorer) replays.
 package failslow
 
 import (

@@ -1,6 +1,7 @@
 package failslow
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -8,36 +9,24 @@ import (
 	"depfast/internal/obs"
 )
 
-func TestRandomFaultsInjectsAndHeals(t *testing.T) {
-	targets := []*env.Env{
-		env.New("r1", env.DefaultConfig()),
-		env.New("r2", env.DefaultConfig()),
-	}
-	rf := NewRandomFaults(targets, DefaultIntensity(),
-		20*time.Millisecond, 30*time.Millisecond, 7)
-	rf.Start()
-	time.Sleep(300 * time.Millisecond)
-	rf.Stop()
+// Random fault schedules are drawn by the driver from a seed and
+// played through a Script; these tests play such schedules
+// synchronously, so they need no wall clock.
 
-	eps := rf.History()
-	if len(eps) == 0 {
-		t.Fatal("no episodes injected in 300ms with 20ms mean inter-arrival")
-	}
-	for _, ep := range eps {
-		if ep.Fault == None {
-			t.Errorf("episode injected None: %+v", ep)
-		}
-		if ep.Target != "r1" && ep.Target != "r2" {
-			t.Errorf("unknown target %q", ep.Target)
-		}
-		if !ep.End.After(ep.Start) {
-			t.Errorf("non-positive episode duration: %+v", ep)
+func countFaultEvents(rec *obs.Recorder) (injected, cleared int) {
+	for _, ev := range rec.Events() {
+		switch ev.Type {
+		case obs.FaultInjected:
+			injected++
+		case obs.FaultCleared:
+			cleared++
 		}
 	}
-	// After Stop, all targets must be healed.
-	if rf.ActiveCount() != 0 {
-		t.Fatalf("active faults after stop: %d", rf.ActiveCount())
-	}
+	return injected, cleared
+}
+
+func assertHealed(t *testing.T, targets []*env.Env) {
+	t.Helper()
 	for _, e := range targets {
 		if got := e.ComputeCost(time.Millisecond); got != time.Millisecond {
 			t.Errorf("%s not healed: compute = %v", e.Node(), got)
@@ -48,108 +37,111 @@ func TestRandomFaultsInjectsAndHeals(t *testing.T) {
 	}
 }
 
-func TestRandomFaultsDeterministicSeed(t *testing.T) {
-	mk := func() []Episode {
-		targets := []*env.Env{env.New("d1", env.DefaultConfig())}
-		rf := NewRandomFaults(targets, DefaultIntensity(),
-			10*time.Millisecond, 10*time.Millisecond, 42)
-		rf.Start()
-		time.Sleep(150 * time.Millisecond)
-		rf.Stop()
-		return rf.History()
+func TestRandomFaultsInjectsAndHeals(t *testing.T) {
+	targets := []*env.Env{
+		env.New("r1", env.DefaultConfig()),
+		env.New("r2", env.DefaultConfig()),
 	}
-	a, b := mk(), mk()
-	if len(a) == 0 || len(b) == 0 {
-		t.Skip("no episodes on this host; timing too coarse")
-	}
-	// Later draws depend on wall-clock busy checks, so only the first
-	// episode is strictly reproducible across runs.
-	if a[0].Fault != b[0].Fault || a[0].Target != b[0].Target {
-		t.Fatalf("first episode differs: %v/%v vs %v/%v",
-			a[0].Target, a[0].Fault, b[0].Target, b[0].Fault)
-	}
-}
+	rec := obs.NewRecorder(256)
+	s := NewScript(rec, DefaultIntensity())
+	rng := rand.New(rand.NewSource(7))
 
-func TestRandomFaultsStopIdempotent(t *testing.T) {
-	rf := NewRandomFaults([]*env.Env{env.New("x", env.DefaultConfig())},
-		DefaultIntensity(), time.Second, time.Second, 1)
-	rf.Stop() // never started: no-op
-	rf.Start()
-	rf.Stop()
-	rf.Stop()
+	// Each step either heals a random target or injects a uniformly
+	// chosen fault on it, replacing whatever was active there.
+	var injections int
+	for i := 0; i < 40; i++ {
+		e := targets[rng.Intn(len(targets))]
+		if rng.Intn(3) == 0 {
+			s.Clear(e)
+			continue
+		}
+		f := Injected[rng.Intn(len(Injected))]
+		if f == None {
+			t.Fatalf("Injected holds None")
+		}
+		s.Inject(e, f, 1)
+		injections++
+		if s.Active() == 0 {
+			t.Fatalf("step %d: %s injected on %s but nothing active", i, f, e.Node())
+		}
+	}
+	if injections == 0 {
+		t.Fatal("seeded schedule injected nothing")
+	}
+
+	s.ClearAll()
+	if s.Active() != 0 {
+		t.Fatalf("active faults after ClearAll: %d", s.Active())
+	}
+	assertHealed(t, targets)
+
+	injected, cleared := countFaultEvents(rec)
+	if injected != injections {
+		t.Fatalf("recorder saw %d injections, want %d", injected, injections)
+	}
+	if cleared == 0 {
+		t.Fatal("recorder saw no clearance")
+	}
+	for _, ev := range rec.Events() {
+		if ev.Node != "r1" && ev.Node != "r2" {
+			t.Errorf("event on unknown target %q", ev.Node)
+		}
+	}
 }
 
 func TestRandomFaultsStopTruncatesInFlightEpisodes(t *testing.T) {
-	rec := obs.NewRecorder(128)
-	targets := []*env.Env{env.New("t1", env.DefaultConfig())}
-	// Episodes nominally last ~10s, far beyond the test window, so any
-	// injected episode is still in flight when Stop heals it.
-	rf := NewRandomFaults(targets, DefaultIntensity(),
-		10*time.Millisecond, 10*time.Second, 3)
-	rf.SetRecorder(rec)
-	rf.Start()
-	time.Sleep(120 * time.Millisecond)
-	rf.Stop()
-	now := time.Now()
+	targets := []*env.Env{
+		env.New("t1", env.DefaultConfig()),
+		env.New("t2", env.DefaultConfig()),
+	}
+	rec := obs.NewRecorder(256)
+	s := NewScript(rec, DefaultIntensity())
+	rng := rand.New(rand.NewSource(3))
 
-	eps := rf.History()
+	// Episodes arrive every ~10ms and nominally last ~10s, far beyond
+	// the 120ms the schedule runs before it is stopped, so episodes are
+	// still in flight at the stop.
+	const stopAt = 120 * time.Millisecond
+	type episode struct {
+		e          *env.Env
+		start, end time.Duration
+	}
+	var eps []episode
+	for _, e := range targets {
+		at := time.Duration(rng.ExpFloat64() * float64(10*time.Millisecond))
+		for at < stopAt {
+			end := at + time.Duration(rng.ExpFloat64()*float64(10*time.Second))
+			eps = append(eps, episode{e, at, end})
+			at = end + time.Duration(rng.ExpFloat64()*float64(10*time.Millisecond))
+		}
+	}
 	if len(eps) == 0 {
-		t.Skip("no episodes on this host; timing too coarse")
+		t.Fatal("seeded schedule drew no episode before the stop")
 	}
+	var inFlight int
 	for _, ep := range eps {
-		if ep.End.After(now) {
-			t.Errorf("episode End %v still in the future after Stop", ep.End)
-		}
-		if !ep.End.After(ep.Start) {
-			t.Errorf("non-positive episode duration after truncation: %+v", ep)
-		}
-	}
-	var injected, cleared int
-	for _, ev := range rec.Events() {
-		switch ev.Type {
-		case obs.FaultInjected:
-			injected++
-		case obs.FaultCleared:
-			cleared++
+		s.Inject(ep.e, Injected[rng.Intn(len(Injected))], 1)
+		if ep.end < stopAt {
+			s.Clear(ep.e)
+		} else {
+			inFlight++
 		}
 	}
-	if injected == 0 || cleared == 0 {
-		t.Fatalf("recorder saw %d injections, %d clears; want both > 0", injected, cleared)
+	if inFlight == 0 || s.Active() == 0 {
+		t.Fatalf("no episode in flight at the stop (%d drawn)", len(eps))
+	}
+
+	// Stopping heals every in-flight episode and records its end.
+	s.ClearAll()
+	if s.Active() != 0 {
+		t.Fatalf("active faults after stop: %d", s.Active())
+	}
+	assertHealed(t, targets)
+	injected, cleared := countFaultEvents(rec)
+	if injected != len(eps) {
+		t.Fatalf("recorder saw %d injections, want %d", injected, len(eps))
 	}
 	if cleared < injected {
 		t.Fatalf("dangling injections on recorder: %d injected vs %d cleared", injected, cleared)
-	}
-}
-
-func TestRandomFaultsExportHistoryIncludesStopClears(t *testing.T) {
-	targets := []*env.Env{env.New("e1", env.DefaultConfig())}
-	rf := NewRandomFaults(targets, DefaultIntensity(),
-		10*time.Millisecond, 10*time.Second, 5)
-	rf.Start()
-	time.Sleep(120 * time.Millisecond)
-	rf.Stop()
-
-	if len(rf.History()) == 0 {
-		t.Skip("no episodes on this host; timing too coarse")
-	}
-	rec := obs.NewRecorder(128)
-	rf.ExportHistory(rec)
-	var injected, cleared int
-	for _, ev := range rec.Events() {
-		switch ev.Type {
-		case obs.FaultInjected:
-			injected++
-		case obs.FaultCleared:
-			cleared++
-		}
-	}
-	// Stop truncated every in-flight episode's End into the past, so the
-	// export emits a clearance for each injection — MTTR analysis never
-	// sees a fault that was healed but looks active.
-	if injected == 0 {
-		t.Fatal("export emitted no injections")
-	}
-	if cleared != injected {
-		t.Fatalf("export: %d injections but %d clears", injected, cleared)
 	}
 }

@@ -47,10 +47,10 @@ func Scale(in Intensity, f float64) Intensity {
 	return in
 }
 
-// Script is the schedule-driven injector: where RandomFaults draws
-// episodes from a stochastic model on its own timers, a Script applies
-// exactly the faults a driver tells it to, synchronously, when told —
-// the deterministic backend a fault-schedule explorer replays the same
+// Script is the schedule-driven injector: it applies exactly the
+// faults a driver tells it to, synchronously, when told — stochastic
+// schedules are drawn by the driver from a seed — and is the
+// deterministic backend a fault-schedule explorer replays the same
 // scenario through run after run. It tracks what is active per node
 // (including asymmetric one-way network delays, which survive a
 // node-fault re-injection on the same target) so ClearAll always heals

@@ -306,9 +306,6 @@ func (l *Live) bind(a Action) (func(on bool), error) {
 			}
 		default:
 			at := time.Now()
-			if srv := l.d.groups[g].Servers[node]; srv != nil {
-				srv.Mitigation.MarkInjected(at)
-			}
 			script.Inject(e, a.Fault, scale)
 			l.res.Injected = append(l.res.Injected, Injection{Node: node, Group: g,
 				Fault: a.Fault.String(), Scale: scale, At: at})
@@ -380,14 +377,11 @@ func (l *Live) analyze(res *Result) {
 	if grp.ID != "" {
 		events = obs.FilterShard(events, grp.ID)
 	}
-	for _, f := range obs.Analyze(events, obs.ReportConfig{}).Faults {
+	for _, f := range obs.Analyze(events).Faults {
 		if f.Node != first.Node || f.InjectedAt.Before(first.At.Add(-time.Second)) {
 			continue
 		}
 		res.MTTD, res.MTTR = f.MTTD(), f.MTTR()
-		if !f.RecoveredAt.IsZero() {
-			grp.Servers[first.Node].Mitigation.MarkRecovered(f.RecoveredAt)
-		}
 		break
 	}
 }

@@ -544,7 +544,7 @@ func TestFlightRecorderSlowLeaderTimeline(t *testing.T) {
 	if dropped != 0 || len(back) != len(evs) {
 		t.Fatalf("round trip: dropped %d, %d -> %d events", dropped, len(evs), len(back))
 	}
-	rep := obs.Analyze(back, obs.ReportConfig{})
+	rep := obs.Analyze(back)
 	if len(rep.Faults) != 1 {
 		t.Fatalf("analyzed faults = %d, want 1", len(rep.Faults))
 	}

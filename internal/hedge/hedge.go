@@ -99,13 +99,6 @@ func New(cfg Config) *Hedger {
 	}
 }
 
-// AttachMetrics registers the hedger's counters on reg.
-func (h *Hedger) AttachMetrics(reg *metrics.Registry) {
-	for _, c := range []*metrics.Counter{h.Fired, h.Won, h.Wasted, h.Exhausted, h.PutRetry} {
-		reg.Attach(c)
-	}
-}
-
 // SetCorroborator forwards trace-derived blame shares
 // (xtrace.Collector.BlameShare) to the underlying detector, so
 // request-path evidence flexes the client's suspicion thresholds

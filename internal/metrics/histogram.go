@@ -1,6 +1,6 @@
 // Package metrics provides the measurement substrate for DepFast
 // experiments: log-bucketed latency histograms with quantile queries,
-// windowed throughput counters, and small statistics helpers.
+// windowed histogram registries, counters and gauges.
 //
 // The package is deliberately allocation-light: a Histogram is a fixed
 // array of buckets, and recording a sample is a single atomic add, so
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -296,39 +295,6 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
 		s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
-
-// Bars renders an ASCII bar chart of the non-empty region of the
-// histogram, width columns wide, for debugging workloads.
-func (h *Histogram) Bars(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	first, last := -1, -1
-	var peak int64
-	for i := 0; i < numBuckets; i++ {
-		v := h.buckets[i].Load()
-		if v > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-			if v > peak {
-				peak = v
-			}
-		}
-	}
-	if first < 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	for i := first; i <= last; i++ {
-		v := h.buckets[i].Load()
-		n := int(float64(v) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "%12v |%s %d\n",
-			bucketLower(i).Round(time.Microsecond), strings.Repeat("#", n), v)
-	}
-	return b.String()
 }
 
 // Percentiles computes exact quantiles over a raw sample slice; useful

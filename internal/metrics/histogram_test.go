@@ -174,19 +174,6 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestBarsSmoke(t *testing.T) {
-	h := NewHistogram()
-	if s := h.Bars(20); s != "(empty)\n" {
-		t.Errorf("empty bars = %q", s)
-	}
-	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	if s := h.Bars(20); len(s) == 0 {
-		t.Error("bars empty for populated histogram")
-	}
-}
-
 func TestPercentilesExact(t *testing.T) {
 	samples := []time.Duration{5, 1, 4, 2, 3} // will be sorted
 	got := Percentiles(samples, 0.2, 0.5, 1.0)

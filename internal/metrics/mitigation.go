@@ -1,17 +1,11 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
-
 // Mitigation groups the counters the fail-slow mitigation sentinel
 // bumps: leadership handoffs it triggered, quarantine churn, and how
-// much straggler backlog it shed. It also carries the fault-response
-// timestamps — injection, first detection, first recovery — from
-// which MTTD and MTTR derive. All fields are safe for concurrent
+// much straggler backlog it shed. All fields are safe for concurrent
 // use, so harness code can read them while the runtime writes them.
+// MTTD and MTTR are not kept here: they derive from the flight
+// recorder's event stream (obs.Analyze).
 type Mitigation struct {
 	// Transfers counts self-demotions: leadership handoffs initiated
 	// because the leader judged itself fail-slow.
@@ -24,13 +18,6 @@ type Mitigation struct {
 	// BacklogDiscarded counts outbox messages dropped when a peer
 	// entered quarantine.
 	BacklogDiscarded *Counter
-
-	// Unix-nanosecond timestamps, 0 = unset. Detection and recovery
-	// keep only the *first* mark after an injection, so repeated
-	// sentinel actions don't stretch MTTD/MTTR.
-	injectedNs  atomic.Int64
-	detectedNs  atomic.Int64
-	recoveredNs atomic.Int64
 }
 
 // NewMitigation returns a zeroed mitigation counter set.
@@ -41,57 +28,4 @@ func NewMitigation() *Mitigation {
 		QuarantinesExited:  NewCounter("quarantines_exited"),
 		BacklogDiscarded:   NewCounter("backlog_discarded"),
 	}
-}
-
-// MarkInjected records when a fault landed on this node and re-arms
-// the detection/recovery marks for the new fault episode.
-func (m *Mitigation) MarkInjected(t time.Time) {
-	m.injectedNs.Store(t.UnixNano())
-	m.detectedNs.Store(0)
-	m.recoveredNs.Store(0)
-}
-
-// MarkDetected records the first mitigation response (quarantine or
-// handoff) after the current injection; later marks are ignored.
-func (m *Mitigation) MarkDetected(t time.Time) {
-	m.detectedNs.CompareAndSwap(0, t.UnixNano())
-}
-
-// MarkRecovered records when sustained throughput recovery was first
-// observed after the current injection; later marks are ignored.
-func (m *Mitigation) MarkRecovered(t time.Time) {
-	m.recoveredNs.CompareAndSwap(0, t.UnixNano())
-}
-
-// MTTD is the injection→detection gap, or 0 if either mark is unset
-// (or detection somehow preceded injection).
-func (m *Mitigation) MTTD() time.Duration {
-	return span(m.injectedNs.Load(), m.detectedNs.Load())
-}
-
-// MTTR is the injection→recovery gap, or 0 if either mark is unset.
-func (m *Mitigation) MTTR() time.Duration {
-	return span(m.injectedNs.Load(), m.recoveredNs.Load())
-}
-
-func span(from, to int64) time.Duration {
-	if from == 0 || to == 0 || to < from {
-		return 0
-	}
-	return time.Duration(to - from)
-}
-
-// String renders the counters on one line for experiment logs; the
-// MTTD/MTTR suffix appears once the corresponding marks exist.
-func (m *Mitigation) String() string {
-	s := fmt.Sprintf("transfers=%d quarantined=%d rehabilitated=%d backlog_discarded=%d",
-		m.Transfers.Value(), m.QuarantinesEntered.Value(),
-		m.QuarantinesExited.Value(), m.BacklogDiscarded.Value())
-	if d := m.MTTD(); d > 0 {
-		s += fmt.Sprintf(" mttd=%s", d.Round(time.Millisecond))
-	}
-	if d := m.MTTR(); d > 0 {
-		s += fmt.Sprintf(" mttr=%s", d.Round(time.Millisecond))
-	}
-	return s
 }

@@ -1,69 +1,92 @@
-package metrics
+package metrics_test
 
 import (
-	"strings"
 	"testing"
 	"time"
+
+	"depfast/internal/metrics"
+	"depfast/internal/obs"
 )
 
-func TestMitigationMTTDAndMTTR(t *testing.T) {
-	m := NewMitigation()
-	if m.MTTD() != 0 || m.MTTR() != 0 {
-		t.Fatalf("unmarked mitigation: MTTD=%v MTTR=%v, want 0/0", m.MTTD(), m.MTTR())
+// A Mitigation keeps only counters; the MTTD and MTTR of a mitigation
+// derive from the flight recorder's event stream. These tests pin the
+// marking rules of that derivation: the first detection and the first
+// sustained recovery of an episode win, and a new injection re-arms
+// both.
+
+func gauges(evs []obs.Event, base time.Time, from, to time.Duration, rate float64) []obs.Event {
+	for at := from; at < to; at += 100 * time.Millisecond {
+		evs = append(evs, obs.Event{Time: base.Add(at), Type: obs.GaugeSample, Node: "harness",
+			Fields: map[string]float64{"rate": rate}})
 	}
+	return evs
+}
+
+func TestMitigationMTTDAndMTTR(t *testing.T) {
+	m := metrics.NewMitigation()
+	if m.Transfers.Value() != 0 || m.QuarantinesEntered.Value() != 0 {
+		t.Fatal("new mitigation counters are not zero")
+	}
+	if rep := obs.Analyze(nil); len(rep.Faults) != 0 {
+		t.Fatalf("empty stream reports %d faults", len(rep.Faults))
+	}
+
 	base := time.Unix(1000, 0)
-	m.MarkInjected(base)
+	evs := gauges(nil, base, 0, time.Second, 100)
+	evs = append(evs, obs.Event{Time: base.Add(time.Second), Type: obs.FaultInjected, Node: "s1", Detail: "Disk Slowness"})
+	evs = gauges(evs, base, time.Second, 3*time.Second, 10)
 	// Detection alone gives MTTD but no MTTR.
-	m.MarkDetected(base.Add(300 * time.Millisecond))
-	if got := m.MTTD(); got != 300*time.Millisecond {
+	detected := append(evs[:len(evs):len(evs)], obs.Event{Time: base.Add(1300 * time.Millisecond),
+		Type: obs.QuarantineEnter, Node: "s2", Peer: "s1"})
+	f := obs.Analyze(detected).Faults[0]
+	if got := f.MTTD(); got != 300*time.Millisecond {
 		t.Fatalf("MTTD = %v, want 300ms", got)
 	}
-	if m.MTTR() != 0 {
-		t.Fatalf("MTTR = %v before recovery, want 0", m.MTTR())
+	if f.MTTR() != 0 {
+		t.Fatalf("MTTR = %v before recovery, want 0", f.MTTR())
 	}
-	// First detection wins; later marks must not stretch MTTD.
-	m.MarkDetected(base.Add(5 * time.Second))
-	if got := m.MTTD(); got != 300*time.Millisecond {
-		t.Fatalf("MTTD moved on repeat mark: %v", got)
+
+	// First detection wins; later signals must not stretch MTTD. First
+	// sustained recovery wins; a later dip and recovery must not
+	// stretch MTTR.
+	evs = append(detected, obs.Event{Time: base.Add(2500 * time.Millisecond),
+		Type: obs.VerdictSuspect, Node: "s3", Peer: "s1"})
+	evs = gauges(evs, base, 3*time.Second, 4*time.Second, 90)
+	evs = gauges(evs, base, 4*time.Second, 5*time.Second, 10)
+	evs = gauges(evs, base, 5*time.Second, 6*time.Second, 90)
+	f = obs.Analyze(evs).Faults[0]
+	if got := f.MTTD(); got != 300*time.Millisecond {
+		t.Fatalf("MTTD moved on a repeat detection: %v", got)
 	}
-	m.MarkRecovered(base.Add(2 * time.Second))
-	m.MarkRecovered(base.Add(9 * time.Second))
-	if got := m.MTTR(); got != 2*time.Second {
+	if got := f.MTTR(); got != 2*time.Second {
 		t.Fatalf("MTTR = %v, want 2s", got)
 	}
 }
 
 func TestMitigationReinjectionRearms(t *testing.T) {
-	m := NewMitigation()
 	base := time.Unix(2000, 0)
-	m.MarkInjected(base)
-	m.MarkDetected(base.Add(100 * time.Millisecond))
-	m.MarkRecovered(base.Add(time.Second))
-	// A new fault episode clears the previous marks.
-	m.MarkInjected(base.Add(10 * time.Second))
-	if m.MTTD() != 0 || m.MTTR() != 0 {
-		t.Fatalf("re-injection kept stale marks: MTTD=%v MTTR=%v", m.MTTD(), m.MTTR())
+	evs := gauges(nil, base, 0, time.Second, 100)
+	evs = append(evs,
+		obs.Event{Time: base.Add(time.Second), Type: obs.FaultInjected, Node: "s1", Detail: "CPU Slowness"},
+		obs.Event{Time: base.Add(1100 * time.Millisecond), Type: obs.HandoffStarted, Node: "s1", Peer: "s2"})
+	evs = gauges(evs, base, time.Second, 2*time.Second, 100)
+	// A new fault episode starts unmarked: the first episode's
+	// detection and recovery do not carry over.
+	evs = append(evs, obs.Event{Time: base.Add(10 * time.Second), Type: obs.FaultInjected, Node: "s1", Detail: "CPU Slowness"})
+	rep := obs.Analyze(evs)
+	if len(rep.Faults) != 2 {
+		t.Fatalf("faults = %d, want 2", len(rep.Faults))
 	}
-	m.MarkDetected(base.Add(10*time.Second + 250*time.Millisecond))
-	if got := m.MTTD(); got != 250*time.Millisecond {
-		t.Fatalf("second episode MTTD = %v, want 250ms", got)
+	if got := rep.Faults[0].MTTD(); got != 100*time.Millisecond {
+		t.Fatalf("first episode MTTD = %v, want 100ms", got)
 	}
-}
+	if second := rep.Faults[1]; second.MTTD() != 0 || second.MTTR() != 0 {
+		t.Fatalf("re-injection kept stale marks: MTTD=%v MTTR=%v", second.MTTD(), second.MTTR())
+	}
 
-func TestMitigationStringIncludesMTTDMTTR(t *testing.T) {
-	m := NewMitigation()
-	if s := m.String(); strings.Contains(s, "mttd") || strings.Contains(s, "mttr") {
-		t.Fatalf("unmarked string should omit mttd/mttr: %q", s)
-	}
-	base := time.Unix(3000, 0)
-	m.MarkInjected(base)
-	m.MarkDetected(base.Add(40 * time.Millisecond))
-	m.MarkRecovered(base.Add(900 * time.Millisecond))
-	s := m.String()
-	if !strings.Contains(s, "mttd=40ms") {
-		t.Fatalf("string missing mttd: %q", s)
-	}
-	if !strings.Contains(s, "mttr=900ms") {
-		t.Fatalf("string missing mttr: %q", s)
+	evs = append(evs, obs.Event{Time: base.Add(10*time.Second + 250*time.Millisecond),
+		Type: obs.VerdictSuspect, Node: "s2", Peer: "s1"})
+	if got := obs.Analyze(evs).Faults[1].MTTD(); got != 250*time.Millisecond {
+		t.Fatalf("second episode MTTD = %v, want 250ms", got)
 	}
 }

@@ -192,16 +192,6 @@ func (r *Registry) Attach(c *Counter) {
 	r.counters[c.Name] = c
 }
 
-// AttachGauge registers an existing gauge under its own name.
-func (r *Registry) AttachGauge(g *Gauge) {
-	if r == nil || g == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges[g.Name] = g
-}
-
 // GaugeSnap is one gauge's scrape value.
 type GaugeSnap struct {
 	Value int64 `json:"value"`

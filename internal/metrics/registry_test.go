@@ -140,9 +140,7 @@ func TestRegistryGetOrCreateAndSnapshot(t *testing.T) {
 	ext := NewCounter("proposals")
 	ext.Add(41)
 	r.Attach(ext)
-	extG := NewGauge("dirty")
-	extG.Set(9)
-	r.AttachGauge(extG)
+	r.Gauge("dirty").Set(9)
 
 	snap := r.Snapshot()
 	if snap.Counters["ops"] != 3 || snap.Counters["proposals"] != 41 {
@@ -176,7 +174,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.Gauge("y").Set(1)
 	r.Histogram("z").Record(time.Millisecond)
 	r.Attach(nil)
-	r.AttachGauge(nil)
 	if len(r.Snapshot().Counters) != 0 || r.Names() != nil {
 		t.Fatal("nil registry leaked state")
 	}

@@ -65,7 +65,7 @@ func TestReportRendersAttribution(t *testing.T) {
 		{Type: AttributionSample, Node: "harness", Detail: "s2/net",
 			Fields: map[string]float64{"traces": 40, "tail": 7, "blame:s2/net": 0.7, "blame:s1/disk": 0.2}},
 	}
-	rep := Analyze(evs, ReportConfig{})
+	rep := Analyze(evs)
 	if rep.BlameTraces != 40 || rep.BlameTail != 7 {
 		t.Fatalf("analyzer kept the wrong sample: traces=%d tail=%d", rep.BlameTraces, rep.BlameTail)
 	}

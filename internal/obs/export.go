@@ -44,9 +44,6 @@ func WriteJSONL(w io.Writer, events []Event, dropped int64, droppedBy map[string
 		return err
 	}
 	for _, e := range events {
-		if e.Type == Meta {
-			continue
-		}
 		if err := enc.Encode(jsonEvent{
 			TimeNs: e.Time.UnixNano(),
 			Type:   string(e.Type),
@@ -117,15 +114,12 @@ func RenderEvents(events []Event, skip ...Type) string {
 	}
 	evs := ByTime(events)
 	var t0 time.Time
-	for _, e := range evs {
-		if e.Type != Meta {
-			t0 = e.Time
-			break
-		}
+	if len(evs) > 0 {
+		t0 = evs[0].Time
 	}
 	var b strings.Builder
 	for _, e := range evs {
-		if e.Type == Meta || skipSet[e.Type] {
+		if skipSet[e.Type] {
 			continue
 		}
 		b.WriteString(e.describe(t0))

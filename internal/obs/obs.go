@@ -128,7 +128,8 @@ const (
 	Phase Type = "phase"
 
 	// Meta is the export header record carrying stream metadata
-	// (Fields["dropped"], Fields["events"]); analyzers ignore it.
+	// (Fields["dropped"], Fields["events"]); ReadJSONL strips it, so
+	// analyzers never see one.
 	Meta Type = "meta"
 )
 

@@ -7,34 +7,15 @@ import (
 	"time"
 )
 
-// ReportConfig tunes the MTTD/MTTR analyzer.
-type ReportConfig struct {
-	// RecoveryFraction: throughput counts as recovered once the sampled
-	// rate is at least this fraction of the pre-injection baseline
-	// (default 0.5).
-	RecoveryFraction float64
-	// SustainSamples: recovery must hold for this many consecutive
-	// gauge samples before it counts — a single lucky window is not a
-	// recovery (default 3).
-	SustainSamples int
-	// BaselineWindow bounds how far before the injection the baseline
-	// rate is averaged over (default 2s).
-	BaselineWindow time.Duration
-}
-
-// WithDefaults fills zero fields.
-func (c ReportConfig) WithDefaults() ReportConfig {
-	if c.RecoveryFraction <= 0 {
-		c.RecoveryFraction = 0.5
-	}
-	if c.SustainSamples <= 0 {
-		c.SustainSamples = 3
-	}
-	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = 2 * time.Second
-	}
-	return c
-}
+// The MTTD/MTTR analyzer's recovery rule: throughput counts as
+// recovered once recoverySustain consecutive gauge samples are at
+// least recoveryFraction of the mean rate over baselineWindow before
+// the injection — a single lucky window is not a recovery.
+const (
+	recoveryFraction = 0.5
+	recoverySustain  = 3
+	baselineWindow   = 2 * time.Second
+)
 
 // StageStats is the per-stage commit-pipeline latency over one
 // interval of the run: how long entries spent reaching local
@@ -89,11 +70,11 @@ type FaultReport struct {
 	Detector   string
 
 	// RecoveredAt is the start of the first sustained run of gauge
-	// samples at or above RecoveryFraction × baseline after injection.
+	// samples at or above recoveryFraction × baseline after injection.
 	// Zero when throughput never sustainedly recovered in the record.
 	RecoveredAt time.Time
 
-	// BaselineRate is the mean sampled rate over BaselineWindow before
+	// BaselineRate is the mean sampled rate over baselineWindow before
 	// injection; FloorRate the minimum sampled rate between injection
 	// and recovery (how hard the fault bit).
 	BaselineRate float64
@@ -160,20 +141,11 @@ func detectionMatches(e Event, node string) bool {
 // Analyze pairs every injection in the stream with its first matching
 // detection and first sustained throughput recovery, and splits the
 // commit-pipeline spans into before/during/after stages per fault.
-func Analyze(events []Event, cfg ReportConfig) *Report {
-	cfg = cfg.WithDefaults()
+func Analyze(events []Event) *Report {
 	evs := ByTime(events)
-	rep := &Report{}
-	for _, e := range evs {
-		if e.Type == Meta {
-			rep.Dropped += int64(e.Field("dropped"))
-			continue
-		}
-		rep.Events++
-		if rep.Start.IsZero() {
-			rep.Start = e.Time
-		}
-		rep.End = e.Time
+	rep := &Report{Events: len(evs)}
+	if len(evs) > 0 {
+		rep.Start, rep.End = evs[0].Time, evs[len(evs)-1].Time
 	}
 
 	// Segment the stream by injections: each fault owns the interval
@@ -202,14 +174,14 @@ func Analyze(events []Event, cfg ReportConfig) *Report {
 			}
 		}
 
-		// Baseline rate: gauge samples within BaselineWindow before the
+		// Baseline rate: gauge samples within baselineWindow before the
 		// injection (scanning back past at most the previous segment's
 		// recovery tail is fine — the window bounds it).
 		var baseSum float64
 		var baseN int
 		for j := i - 1; j >= 0; j-- {
 			e := evs[j]
-			if inj.Time.Sub(e.Time) > cfg.BaselineWindow {
+			if inj.Time.Sub(e.Time) > baselineWindow {
 				break
 			}
 			if e.Type == GaugeSample {
@@ -221,9 +193,9 @@ func Analyze(events []Event, cfg ReportConfig) *Report {
 			fr.BaselineRate = baseSum / float64(baseN)
 		}
 
-		// Recovery: first run of SustainSamples consecutive gauge samples
-		// at or above RecoveryFraction × baseline, after injection.
-		threshold := cfg.RecoveryFraction * fr.BaselineRate
+		// Recovery: first run of recoverySustain consecutive gauge
+		// samples at or above recoveryFraction × baseline, after injection.
+		threshold := recoveryFraction * fr.BaselineRate
 		run := 0
 		var runStart time.Time
 		floor := -1.0
@@ -243,7 +215,7 @@ func Analyze(events []Event, cfg ReportConfig) *Report {
 					runStart = e.Time
 				}
 				run++
-				if run >= cfg.SustainSamples && fr.RecoveredAt.IsZero() {
+				if run >= recoverySustain && fr.RecoveredAt.IsZero() {
 					fr.RecoveredAt = runStart
 				}
 			} else {
@@ -264,7 +236,7 @@ func Analyze(events []Event, cfg ReportConfig) *Report {
 			}
 			switch {
 			case e.Time.Before(inj.Time):
-				if inj.Time.Sub(e.Time) <= cfg.BaselineWindow {
+				if inj.Time.Sub(e.Time) <= baselineWindow {
 					fr.Before.add(e)
 				}
 			case recovered.IsZero() || e.Time.Before(recovered):

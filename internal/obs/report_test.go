@@ -44,7 +44,7 @@ func synthRun() []Event {
 }
 
 func TestAnalyzeMTTDAndMTTR(t *testing.T) {
-	rep := Analyze(synthRun(), ReportConfig{})
+	rep := Analyze(synthRun())
 	if len(rep.Faults) != 1 {
 		t.Fatalf("faults = %d, want 1", len(rep.Faults))
 	}
@@ -72,7 +72,7 @@ func TestAnalyzeMTTDAndMTTR(t *testing.T) {
 }
 
 func TestAnalyzeStageBreakdown(t *testing.T) {
-	rep := Analyze(synthRun(), ReportConfig{})
+	rep := Analyze(synthRun())
 	f := rep.Faults[0]
 	if f.Before.Spans == 0 || f.During.Spans == 0 || f.After.Spans == 0 {
 		t.Fatalf("empty stage windows: before=%d during=%d after=%d",
@@ -104,7 +104,7 @@ func TestAnalyzeUndetectedUnrecovered(t *testing.T) {
 		{Time: base.Add(300 * time.Millisecond), Type: GaugeSample, Node: "harness", Fields: map[string]float64{"rate": 5}},
 		{Time: base.Add(400 * time.Millisecond), Type: GaugeSample, Node: "harness", Fields: map[string]float64{"rate": 5}},
 	}
-	rep := Analyze(evs, ReportConfig{})
+	rep := Analyze(evs)
 	f := rep.Faults[0]
 	if f.MTTD() != 0 || f.MTTR() != 0 {
 		t.Fatalf("undetected fault got MTTD=%v MTTR=%v", f.MTTD(), f.MTTR())
@@ -129,7 +129,7 @@ func TestAnalyzeMultipleInjections(t *testing.T) {
 		evs = append(evs, Event{Time: base.Add(off + 1200*time.Millisecond), Type: QuarantineEnter,
 			Node: "s3", Peer: "s1"})
 	}
-	rep := Analyze(evs, ReportConfig{})
+	rep := Analyze(evs)
 	if len(rep.Faults) != 2 {
 		t.Fatalf("faults = %d, want 2", len(rep.Faults))
 	}

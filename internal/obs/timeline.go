@@ -45,15 +45,12 @@ type Timeline struct {
 }
 
 // BuildTimeline aggregates events into fixed-width buckets (bucket <= 0
-// defaults to one second). Meta events are ignored.
+// defaults to one second).
 func BuildTimeline(events []Event, bucket time.Duration) *Timeline {
 	if bucket <= 0 {
 		bucket = time.Second
 	}
 	evs := ByTime(events)
-	for len(evs) > 0 && evs[0].Type == Meta {
-		evs = evs[1:]
-	}
 	tl := &Timeline{BucketSize: bucket}
 	if len(evs) == 0 {
 		return tl
@@ -72,9 +69,6 @@ func BuildTimeline(events []Event, bucket time.Duration) *Timeline {
 	gauges := make([]acc, n)
 	commitTotals := make([]time.Duration, n)
 	for _, e := range evs {
-		if e.Type == Meta {
-			continue
-		}
 		i := int(e.Time.Sub(tl.Start) / bucket)
 		if i < 0 || i >= n {
 			continue

@@ -201,7 +201,6 @@ func (s *Server) enterQuarantine(p string) {
 		ob.CancelAll()
 	}
 	s.Mitigation.QuarantinesEntered.Inc()
-	s.Mitigation.MarkDetected(time.Now())
 	s.rec.Emit(obs.Event{Type: obs.QuarantineEnter, Node: s.cfg.ID, Peer: p,
 		Fields: map[string]float64{"backlog_shed": float64(shed)}})
 	s.publishQuarantine()
@@ -276,7 +275,6 @@ func (s *Server) beginTransfer() {
 	// term, not just while transferPending (the expiry path can clear
 	// the flag while the TimeoutNow is still electing the target).
 	s.leaseBlockedTerm = s.term
-	s.Mitigation.MarkDetected(time.Now())
 	s.rec.Emit(obs.Event{Type: obs.HandoffStarted, Node: s.cfg.ID, Peer: target,
 		Fields: map[string]float64{"term": float64(s.term)}})
 	s.rt.Spawn("transfer-drain", s.driveTransfer)

@@ -27,32 +27,21 @@ type jsonRecord struct {
 	Dropped   int64    `json:"dropped,omitempty"`
 }
 
-// metaKind marks the collector-metadata line (drop count) in exported
-// traces; ReadJSON filters it back out of the record stream.
+// metaKind marks the collector-metadata line (drop count) that heads
+// every exported trace; ReadJSON filters it back out of the records.
 const metaKind = "collector-meta"
 
-// WriteJSON streams records as JSON lines (one record per line), the
-// interchange format for offline analysis.
-func WriteJSON(w io.Writer, records []core.WaitRecord) error {
-	return writeJSON(w, records, 0)
-}
-
-// WriteCollectorJSON exports a collector's records plus a metadata
-// line carrying its drop count, so a truncated trace is identifiable
-// as such offline.
-func WriteCollectorJSON(w io.Writer, c *Collector) error {
-	return writeJSON(w, c.Records(), c.Dropped())
-}
-
-func writeJSON(w io.Writer, records []core.WaitRecord, dropped int64) error {
+// WriteJSON exports a collector as JSON lines, the interchange format
+// for offline analysis: one metadata line carrying the collector's drop
+// count, so a truncated trace is never analyzed as a complete one, then
+// one line per retained wait record.
+func WriteJSON(w io.Writer, c *Collector) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if dropped > 0 {
-		if err := enc.Encode(jsonRecord{Kind: metaKind, Dropped: dropped}); err != nil {
-			return err
-		}
+	if err := enc.Encode(jsonRecord{Kind: metaKind, Dropped: c.Dropped()}); err != nil {
+		return err
 	}
-	for _, r := range records {
+	for _, r := range c.Records() {
 		jr := jsonRecord{
 			Node:      r.Node,
 			Coroutine: r.CoroutineID,
@@ -72,16 +61,9 @@ func writeJSON(w io.Writer, records []core.WaitRecord, dropped int64) error {
 	return bw.Flush()
 }
 
-// ReadJSON parses JSON-lines traces written by WriteJSON /
-// WriteCollectorJSON, discarding the metadata line if present.
-func ReadJSON(r io.Reader) ([]core.WaitRecord, error) {
-	out, _, err := ReadJSONDropped(r)
-	return out, err
-}
-
-// ReadJSONDropped parses a trace and also returns the exporter's drop
-// count (0 for traces without a metadata line).
-func ReadJSONDropped(r io.Reader) ([]core.WaitRecord, int64, error) {
+// ReadJSON parses a trace written by WriteJSON, returning its wait
+// records and the exporter's drop count.
+func ReadJSON(r io.Reader) ([]core.WaitRecord, int64, error) {
 	var out []core.WaitRecord
 	var dropped int64
 	dec := json.NewDecoder(r)
@@ -180,53 +162,4 @@ func RenderBreakdown(stats []KindStat) string {
 			st.Timeouts)
 	}
 	return b.String()
-}
-
-// Window filters records whose wait overlapped [from, to); used to
-// zoom analysis onto a fault interval.
-func Window(records []core.WaitRecord, from, to time.Time) []core.WaitRecord {
-	var out []core.WaitRecord
-	for _, r := range records {
-		if r.End.After(from) && r.Start.Before(to) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// CompareWindows contrasts mean waits per (node, kind) between a
-// baseline window and a fault window, returning lines sorted by the
-// largest inflation — a direct "what got slower" report.
-type WindowDelta struct {
-	Node      string
-	Kind      string
-	BaseMean  time.Duration
-	FaultMean time.Duration
-	Inflation float64
-}
-
-// CompareWindows computes per-(node,kind) inflation between windows.
-func CompareWindows(records []core.WaitRecord, baseFrom, baseTo, faultFrom, faultTo time.Time) []WindowDelta {
-	base := Breakdown(Window(records, baseFrom, baseTo))
-	fault := Breakdown(Window(records, faultFrom, faultTo))
-	baseIdx := map[[2]string]KindStat{}
-	for _, st := range base {
-		baseIdx[[2]string{st.Node, st.Kind}] = st
-	}
-	var out []WindowDelta
-	for _, st := range fault {
-		b, ok := baseIdx[[2]string{st.Node, st.Kind}]
-		if !ok || b.Mean() == 0 {
-			continue
-		}
-		out = append(out, WindowDelta{
-			Node:      st.Node,
-			Kind:      st.Kind,
-			BaseMean:  b.Mean(),
-			FaultMean: st.Mean(),
-			Inflation: float64(st.Mean()) / float64(b.Mean()),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Inflation > out[j].Inflation })
-	return out
 }

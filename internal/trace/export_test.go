@@ -15,16 +15,20 @@ func TestJSONRoundTrip(t *testing.T) {
 		rec("c1", "rpc", 1, 1, []string{"s1"}, time.Millisecond),
 	}
 	in[1].TimedOut = true
+	c := NewCollector(0)
+	for _, r := range in {
+		c.Record(r)
+	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
+	if err := WriteJSON(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadJSON(&buf)
+	out, dropped, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("records = %d", len(out))
+	if len(out) != 2 || dropped != 0 {
+		t.Fatalf("records = %d, dropped = %d", len(out), dropped)
 	}
 	if out[0].Node != "s1" || out[0].Event.Quorum != 2 || len(out[0].Event.Peers) != 2 {
 		t.Fatalf("record 0 = %+v", out[0])
@@ -37,16 +41,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteCollectorJSONCarriesDropCount: a collector whose limit
+// evicted records exports its drop count with the records, and the
+// reader hands it back, so offline analysis knows the trace is a
+// suffix of the run.
 func TestWriteCollectorJSONCarriesDropCount(t *testing.T) {
 	c := NewCollector(4)
 	for i := 0; i < 10; i++ {
 		c.Record(rec("s1", "rpc", 1, 1, []string{"s2"}, time.Duration(i+1)*time.Millisecond))
 	}
+	if c.Dropped() == 0 {
+		t.Fatal("collector at its limit dropped nothing")
+	}
 	var buf bytes.Buffer
-	if err := WriteCollectorJSON(&buf, c); err != nil {
+	if err := WriteJSON(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	out, dropped, err := ReadJSONDropped(&buf)
+	out, dropped, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,29 +67,17 @@ func TestWriteCollectorJSONCarriesDropCount(t *testing.T) {
 	if len(out) != c.Len() {
 		t.Fatalf("records = %d, want %d (meta line must not become a record)", len(out), c.Len())
 	}
-	// Plain ReadJSON remains compatible with the meta line.
-	buf.Reset()
-	if err := WriteCollectorJSON(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != c.Len() {
-		t.Fatalf("ReadJSON over meta line: %d records, want %d", len(plain), c.Len())
-	}
 }
 
 func TestReadJSONCorrupt(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
+	if _, _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
 		t.Fatal("corrupt json accepted")
 	}
 }
 
 func TestReadJSONEmpty(t *testing.T) {
-	out, err := ReadJSON(strings.NewReader(""))
-	if err != nil || len(out) != 0 {
+	out, dropped, err := ReadJSON(strings.NewReader(""))
+	if err != nil || len(out) != 0 || dropped != 0 {
 		t.Fatalf("empty read: %v %v", out, err)
 	}
 }
@@ -112,62 +111,5 @@ func TestBreakdown(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
-	}
-}
-
-func TestWindowFilter(t *testing.T) {
-	base := time.Unix(100, 0)
-	mk := func(startOff, dur time.Duration) core.WaitRecord {
-		return core.WaitRecord{
-			Node:  "s1",
-			Event: core.EventDesc{Kind: "rpc", Quorum: 1, Total: 1},
-			Start: base.Add(startOff),
-			End:   base.Add(startOff + dur),
-		}
-	}
-	records := []core.WaitRecord{
-		mk(0, time.Second),                      // [0,1)
-		mk(2*time.Second, time.Second),          // [2,3)
-		mk(500*time.Millisecond, 2*time.Second), // [0.5,2.5) overlaps both
-	}
-	got := Window(records, base.Add(1500*time.Millisecond), base.Add(4*time.Second))
-	if len(got) != 2 {
-		t.Fatalf("window = %d records, want 2", len(got))
-	}
-}
-
-func TestCompareWindows(t *testing.T) {
-	base := time.Unix(200, 0)
-	mk := func(node, kind string, startOff, dur time.Duration) core.WaitRecord {
-		return core.WaitRecord{
-			Node:  node,
-			Event: core.EventDesc{Kind: kind, Quorum: 1, Total: 1},
-			Start: base.Add(startOff),
-			End:   base.Add(startOff + dur),
-		}
-	}
-	records := []core.WaitRecord{
-		// Baseline window [0,1s): disk waits 1ms.
-		mk("s2", "disk", 100*time.Millisecond, time.Millisecond),
-		mk("s2", "disk", 200*time.Millisecond, time.Millisecond),
-		// Fault window [1s,2s): disk waits 10ms (x10 inflation).
-		mk("s2", "disk", 1100*time.Millisecond, 10*time.Millisecond),
-		mk("s2", "disk", 1200*time.Millisecond, 10*time.Millisecond),
-		// rpc unchanged in both windows.
-		mk("s1", "rpc", 300*time.Millisecond, 2*time.Millisecond),
-		mk("s1", "rpc", 1300*time.Millisecond, 2*time.Millisecond),
-	}
-	deltas := CompareWindows(records,
-		base, base.Add(time.Second),
-		base.Add(time.Second), base.Add(2*time.Second))
-	if len(deltas) != 2 {
-		t.Fatalf("deltas = %+v", deltas)
-	}
-	top := deltas[0]
-	if top.Node != "s2" || top.Kind != "disk" || top.Inflation < 9.5 || top.Inflation > 10.5 {
-		t.Fatalf("top delta = %+v", top)
-	}
-	if deltas[1].Inflation < 0.9 || deltas[1].Inflation > 1.1 {
-		t.Fatalf("rpc delta = %+v", deltas[1])
 	}
 }
