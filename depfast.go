@@ -156,8 +156,6 @@ type (
 	PeerStat = detect.PeerStat
 )
 
-// Detection entry points.
-var (
-	NewPeerDetector       = detect.New
-	DefaultDetectorConfig = detect.DefaultConfig
-)
+// NewPeerDetector returns a detector that judges a peer after
+// minSamples round trips.
+var NewPeerDetector = detect.New

@@ -9,80 +9,66 @@
 // cluster-wide slowness (overload) is not misattributed to one node.
 //
 // Suspicion is sticky (a Schmitt trigger): a peer enters suspicion at
-// SuspectRatio × median and leaves only once its EWMA falls back
-// below ReleaseRatio × median, so a peer hovering near the threshold
-// doesn't flap. For mitigation the detector also tracks each peer's
+// 5× median and leaves only once its EWMA falls back to 2.5× median,
+// so a peer hovering near the threshold doesn't flap. For mitigation the detector also tracks each peer's
 // run of consecutive healthy round-trips (ConsecutiveHealthy), which
 // recovers much faster than the EWMA after a fault clears.
 package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Config tunes the detector.
-type Config struct {
-	// Alpha is the EWMA smoothing weight of a new sample (default 1/8).
-	Alpha float64
-	// SuspectRatio flags a peer whose EWMA exceeds this multiple of the
-	// median peer EWMA (default 5).
-	SuspectRatio float64
-	// ReleaseRatio clears an existing suspicion once the peer's EWMA
-	// drops back below this multiple of the median (default 2.5). Must
-	// be below SuspectRatio for the hysteresis band to exist.
-	ReleaseRatio float64
-	// RecoveryRatio bounds what counts as a *healthy* individual RTT
-	// when tracking consecutive-healthy streaks: a sample is healthy if
-	// it is at or below RecoveryRatio × median (or below Floor)
-	// (default 2).
-	RecoveryRatio float64
-	// MinSamples before a peer can be judged (default 16).
-	MinSamples int
-	// Floor is the minimum EWMA considered abnormal at all; below it a
-	// peer is never suspected regardless of ratios (default 2ms).
-	Floor time.Duration
-	// TimeoutPenalty is the latency charged for a timed-out call
-	// (default 2× the observed max RTT so far, at least 100ms).
-	TimeoutPenalty time.Duration
-
-	// Trace corroboration (SetCorroborator). A peer whose critical-path
-	// blame share is at least CorroborateShare enters suspicion at
-	// CorroborateEase × SuspectRatio × median — request-path evidence
-	// lowers the bar. A peer whose share is at or below VetoShare must
-	// instead exceed VetoStretch × SuspectRatio × median — traces that
-	// never blame the peer hold the RTT verdict to a stricter standard.
-	// Defaults: 0.3, 0.6, 0.05, 1.5.
-	CorroborateShare float64
-	CorroborateEase  float64
-	VetoShare        float64
-	VetoStretch      float64
-}
-
-// DefaultConfig returns production-ish defaults for the simulated
-// environment.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:            0.125,
-		SuspectRatio:     5,
-		ReleaseRatio:     2.5,
-		RecoveryRatio:    2,
-		MinSamples:       16,
-		Floor:            2 * time.Millisecond,
-		CorroborateShare: 0.3,
-		CorroborateEase:  0.6,
-		VetoShare:        0.05,
-		VetoStretch:      1.5,
-	}
-}
+// Detection constants. Every detector — a server's, a hedging
+// client's — judges peers by the same rules; only minSamples differs
+// (New). DESIGN.md "Detection constants" gives the reason for each.
+const (
+	// alpha is the EWMA weight of a new round-trip sample.
+	alpha = 1.0 / 8
+	// A peer enters suspicion once its EWMA exceeds suspectRatio ×
+	// the median peer EWMA, and leaves it once the EWMA falls back to
+	// releaseRatio × median or below: the hysteresis band between the
+	// two keeps a peer hovering near the threshold from flapping.
+	suspectRatio = 5
+	releaseRatio = 2.5
+	// recoveryRatio bounds a healthy individual round trip for the
+	// consecutive-healthy streak: at or below recoveryRatio × median
+	// (or below floor).
+	recoveryRatio = 2
+	// floor is the smallest EWMA considered abnormal at all; below it
+	// a peer is never suspected regardless of ratios.
+	floor = 2 * time.Millisecond
+	// Trace corroboration (SetCorroborator). A peer whose
+	// critical-path blame share is at least corroborateShare enters
+	// suspicion at corroborateEase × suspectRatio × median; one whose
+	// share is at most vetoShare must exceed vetoStretch ×
+	// suspectRatio × median. Eased entry (3×) stays above release
+	// (2.5×), so corroboration never closes the hysteresis band.
+	corroborateShare = 0.3
+	corroborateEase  = 0.6
+	vetoShare        = 0.05
+	vetoStretch      = 1.5
+	// minTimeoutPenalty is the least latency charged for a timed-out
+	// call; the charge is twice the peer's largest RTT so far when
+	// that is larger.
+	minTimeoutPenalty = 100 * time.Millisecond
+	// A hedge deadline is hedgeMult × the larger of the peer's and the
+	// median EWMA, clamped to [floor, maxHedgeDeadline]: a
+	// microsecond-fast peer does not trigger hedges on scheduler
+	// noise, and a degraded estimate cannot postpone speculation past
+	// the RPC timeout.
+	hedgeMult        = 2.5
+	maxHedgeDeadline = 500 * time.Millisecond
+)
 
 // peerState is one peer's smoothed view.
 type peerState struct {
-	ewma     float64 // nanoseconds
-	samples  int
+	rtt      EWMA // nanoseconds
 	timeouts int
 	maxRTT   time.Duration
 	suspect  bool // sticky verdict, updated by refreshLocked
@@ -92,10 +78,11 @@ type peerState struct {
 // Detector aggregates RTT observations per peer. Safe for concurrent
 // use — Observe is called from transport goroutines.
 type Detector struct {
-	cfg Config
+	minSamples int
 
 	mu          sync.Mutex
 	peers       map[string]*peerState
+	medians     []float64 // medianLocked's reused buffer
 	onVerdict   func(peer string, suspect bool, ewma time.Duration)
 	corroborate func(peer string) (share float64, ok bool)
 }
@@ -115,53 +102,20 @@ func (d *Detector) SetOnVerdict(fn func(peer string, suspect bool, ewma time.Dur
 // shares (xtrace.Collector.BlameShare): the fraction of recent slow
 // requests' critical-path time attributed to the peer. The verdict
 // threshold then flexes — corroborated peers are suspected sooner,
-// trace-exonerated peers later (see Config). fn is called with the
-// detector's lock held and must not call back into the detector; it
-// returns ok=false when there is not enough trace evidence, which
-// leaves the plain RTT threshold in force.
+// trace-exonerated peers later. fn is called with the detector's lock
+// held and must not call back into the detector; it returns ok=false
+// when there is not enough trace evidence, which leaves the plain RTT
+// threshold in force.
 func (d *Detector) SetCorroborator(fn func(peer string) (share float64, ok bool)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.corroborate = fn
 }
 
-// New returns a detector; zero-value fields of cfg take defaults.
-func New(cfg Config) *Detector {
-	def := DefaultConfig()
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.SuspectRatio <= 1 {
-		cfg.SuspectRatio = def.SuspectRatio
-	}
-	if cfg.ReleaseRatio <= 1 || cfg.ReleaseRatio >= cfg.SuspectRatio {
-		cfg.ReleaseRatio = def.ReleaseRatio
-		if cfg.ReleaseRatio >= cfg.SuspectRatio {
-			cfg.ReleaseRatio = cfg.SuspectRatio / 2
-		}
-	}
-	if cfg.RecoveryRatio <= 1 {
-		cfg.RecoveryRatio = def.RecoveryRatio
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = def.MinSamples
-	}
-	if cfg.Floor <= 0 {
-		cfg.Floor = def.Floor
-	}
-	if cfg.CorroborateShare <= 0 {
-		cfg.CorroborateShare = def.CorroborateShare
-	}
-	if cfg.CorroborateEase <= 0 || cfg.CorroborateEase >= 1 {
-		cfg.CorroborateEase = def.CorroborateEase
-	}
-	if cfg.VetoShare <= 0 {
-		cfg.VetoShare = def.VetoShare
-	}
-	if cfg.VetoStretch <= 1 {
-		cfg.VetoStretch = def.VetoStretch
-	}
-	return &Detector{cfg: cfg, peers: make(map[string]*peerState)}
+// New returns a detector that judges a peer once it has minSamples
+// observations.
+func New(minSamples int) *Detector {
+	return &Detector{minSamples: minSamples, peers: make(map[string]*peerState)}
 }
 
 // Observe folds one call outcome into the peer's state. Plug it into
@@ -176,80 +130,64 @@ func (d *Detector) Observe(peer string, rtt time.Duration, timedOut bool) {
 	}
 	if timedOut {
 		st.timeouts++
-		penalty := d.cfg.TimeoutPenalty
-		if penalty <= 0 {
-			penalty = 2 * st.maxRTT
-			if penalty < 100*time.Millisecond {
-				penalty = 100 * time.Millisecond
-			}
-		}
-		rtt = penalty
+		rtt = max(2*st.maxRTT, minTimeoutPenalty)
 	} else if rtt > st.maxRTT {
 		st.maxRTT = rtt
 	}
-	if st.samples == 0 {
-		st.ewma = float64(rtt)
-	} else {
-		st.ewma = (1-d.cfg.Alpha)*st.ewma + d.cfg.Alpha*float64(rtt)
-	}
-	st.samples++
+	st.rtt.Add(float64(rtt), alpha)
 
 	// A sample is healthy if it looks like a normal round-trip right
 	// now, judged against the healthy majority — not against the
 	// peer's own (possibly inflated) EWMA. This is the fast-recovery
 	// signal: the EWMA takes many samples to decay after a fault
 	// clears, but the streak resets to healthy immediately.
-	healthy := float64(d.cfg.Floor)
-	if m := d.medianLocked(); d.cfg.RecoveryRatio*m > healthy {
-		healthy = d.cfg.RecoveryRatio * m
-	}
-	if !timedOut && float64(rtt) <= healthy {
+	median := d.medianLocked()
+	if !timedOut && float64(rtt) <= max(float64(floor), recoveryRatio*median) {
 		st.okStreak++
 	} else {
 		st.okStreak = 0
 	}
-	d.refreshLocked()
+	d.refreshLocked(median)
 }
 
 // medianLocked returns the lower-median EWMA over judgeable peers.
 // Lower median: with two peers this compares against the faster one,
 // so a slow peer in a pair is still caught.
 func (d *Detector) medianLocked() float64 {
-	var ewmas []float64
+	d.medians = d.medians[:0]
 	for _, st := range d.peers {
-		if st.samples >= d.cfg.MinSamples {
-			ewmas = append(ewmas, st.ewma)
+		if st.rtt.Samples() >= d.minSamples {
+			d.medians = append(d.medians, st.rtt.Value())
 		}
 	}
-	if len(ewmas) == 0 {
+	if len(d.medians) == 0 {
 		return 0
 	}
-	sort.Float64s(ewmas)
-	return ewmas[(len(ewmas)-1)/2]
+	slices.Sort(d.medians)
+	return d.medians[(len(d.medians)-1)/2]
 }
 
 // refreshLocked re-evaluates every peer's sticky suspicion verdict
-// against the current median — enter high, exit low (Schmitt trigger).
-func (d *Detector) refreshLocked() {
-	median := d.medianLocked()
+// against median — enter high, exit low (Schmitt trigger).
+func (d *Detector) refreshLocked(median float64) {
 	for peer, st := range d.peers {
-		if st.samples < d.cfg.MinSamples {
+		if st.rtt.Samples() < d.minSamples {
 			continue
 		}
+		ewma := st.rtt.Value()
 		if !st.suspect {
-			if median > 0 && st.ewma > float64(d.cfg.Floor) &&
-				st.ewma > d.suspectThresholdLocked(peer)*median {
+			if median > 0 && ewma > float64(floor) &&
+				ewma > d.suspectThresholdLocked(peer)*median {
 				st.suspect = true
 				if d.onVerdict != nil {
-					d.onVerdict(peer, true, time.Duration(st.ewma))
+					d.onVerdict(peer, true, time.Duration(ewma))
 				}
 			}
 		} else {
-			if st.ewma <= float64(d.cfg.Floor) ||
-				(median > 0 && st.ewma <= d.cfg.ReleaseRatio*median) {
+			if ewma <= float64(floor) || (median > 0 && ewma <= releaseRatio*median) {
 				st.suspect = false
 				if d.onVerdict != nil {
-					d.onVerdict(peer, false, time.Duration(st.ewma))
+					d.onVerdict(peer, false, time.Duration(ewma))
 				}
 			}
 		}
@@ -257,27 +195,21 @@ func (d *Detector) refreshLocked() {
 }
 
 // suspectThresholdLocked returns the entry multiple-of-median for
-// peer: SuspectRatio flexed by trace corroboration when available.
+// peer: suspectRatio flexed by trace corroboration when available.
 func (d *Detector) suspectThresholdLocked(peer string) float64 {
-	ratio := d.cfg.SuspectRatio
 	if d.corroborate == nil {
-		return ratio
+		return suspectRatio
 	}
 	share, ok := d.corroborate(peer)
-	if !ok {
-		return ratio
-	}
 	switch {
-	case share >= d.cfg.CorroborateShare:
-		ratio *= d.cfg.CorroborateEase
-		// Keep the hysteresis band: entry must stay above release.
-		if ratio <= d.cfg.ReleaseRatio {
-			ratio = d.cfg.ReleaseRatio * 1.1
-		}
-	case share <= d.cfg.VetoShare:
-		ratio *= d.cfg.VetoStretch
+	case !ok:
+		return suspectRatio
+	case share >= corroborateShare:
+		return suspectRatio * corroborateEase
+	case share <= vetoShare:
+		return suspectRatio * vetoStretch
 	}
-	return ratio
+	return suspectRatio
 }
 
 // PeerStat is one peer's exported state.
@@ -296,13 +228,13 @@ type PeerStat struct {
 func (d *Detector) Stats() []PeerStat {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.refreshLocked()
+	d.refreshLocked(d.medianLocked())
 	out := make([]PeerStat, 0, len(d.peers))
 	for peer, st := range d.peers {
 		out = append(out, PeerStat{
 			Peer:     peer,
-			EWMA:     time.Duration(st.ewma),
-			Samples:  st.samples,
+			EWMA:     time.Duration(st.rtt.Value()),
+			Samples:  st.rtt.Samples(),
 			Timeouts: st.timeouts,
 			Suspect:  st.suspect,
 			Healthy:  st.okStreak,
@@ -333,38 +265,28 @@ func (d *Detector) Suspects() []string {
 func (d *Detector) Healthy(peer string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.refreshLocked()
+	d.refreshLocked(d.medianLocked())
 	st := d.peers[peer]
 	return st == nil || !st.suspect
 }
 
 // DeadlineHint derives a per-peer latency deadline for request-path
-// speculation: mult × the larger of the peer's EWMA and the median
-// peer EWMA, floored at Floor. Taking the max of peer and median
-// keeps the hint two-sided — a peer whose own estimate has gone stale
-// still inherits the cluster's current baseline, and a peer faster
-// than its siblings isn't hedged on noise. ok is false until the peer
-// has MinSamples observations; callers should then not speculate at
-// all rather than guess.
-func (d *Detector) DeadlineHint(peer string, mult float64) (time.Duration, bool) {
-	if mult <= 0 {
-		mult = 1
-	}
+// speculation: hedgeMult × the larger of the peer's EWMA and the
+// median peer EWMA, clamped to [floor, maxHedgeDeadline]. Taking the
+// max of peer and median keeps the hint two-sided — a peer whose own
+// estimate has gone stale still inherits the cluster's current
+// baseline, and a peer faster than its siblings isn't hedged on noise.
+// ok is false until the peer has minSamples observations; callers
+// should then not speculate at all rather than guess.
+func (d *Detector) DeadlineHint(peer string) (time.Duration, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.peers[peer]
-	if st == nil || st.samples < d.cfg.MinSamples {
+	if st == nil || st.rtt.Samples() < d.minSamples {
 		return 0, false
 	}
-	base := st.ewma
-	if m := d.medianLocked(); m > base {
-		base = m
-	}
-	hint := time.Duration(mult * base)
-	if hint < d.cfg.Floor {
-		hint = d.cfg.Floor
-	}
-	return hint, true
+	hint := time.Duration(hedgeMult * max(st.rtt.Value(), d.medianLocked()))
+	return min(max(hint, floor), maxHedgeDeadline), true
 }
 
 // ConsecutiveHealthy returns peer's current run of healthy
@@ -379,7 +301,7 @@ func (d *Detector) ConsecutiveHealthy(peer string) int {
 	return st.okStreak
 }
 
-// Forget drops one peer's state so it re-earns MinSamples before it
+// Forget drops one peer's state so it re-earns minSamples before it
 // can be judged again — a probation period after rehabilitation.
 func (d *Detector) Forget(peer string) {
 	d.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"depfast/internal/race"
 )
 
 func feed(d *Detector, peer string, rtt time.Duration, n int) {
@@ -14,7 +16,7 @@ func feed(d *Detector, peer string, rtt time.Duration, n int) {
 }
 
 func TestDetectorFlagsSlowPeer(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", 3*time.Millisecond, 50)
 	feed(d, "s3", 3*time.Millisecond, 50)
 	feed(d, "s4", 80*time.Millisecond, 50) // fail-slow
@@ -30,7 +32,7 @@ func TestDetectorFlagsSlowPeer(t *testing.T) {
 
 func TestDetectorNoFalsePositiveWhenAllSlow(t *testing.T) {
 	// Cluster-wide slowness (overload) must not single anyone out.
-	d := New(DefaultConfig())
+	d := New(16)
 	for _, p := range []string{"s2", "s3", "s4"} {
 		feed(d, p, 50*time.Millisecond, 50)
 	}
@@ -41,9 +43,7 @@ func TestDetectorNoFalsePositiveWhenAllSlow(t *testing.T) {
 
 func TestDetectorFloorSuppressesMicroDifferences(t *testing.T) {
 	// Sub-floor latencies are never abnormal even at a high ratio.
-	cfg := DefaultConfig()
-	cfg.Floor = 10 * time.Millisecond
-	d := New(cfg)
+	d := New(16)
 	feed(d, "s2", 100*time.Microsecond, 50)
 	feed(d, "s3", 100*time.Microsecond, 50)
 	feed(d, "s4", 900*time.Microsecond, 50) // 9x but tiny
@@ -53,7 +53,7 @@ func TestDetectorFloorSuppressesMicroDifferences(t *testing.T) {
 }
 
 func TestDetectorNeedsMinSamples(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	feed(d, "s4", 100*time.Millisecond, 3) // too few samples
@@ -63,7 +63,7 @@ func TestDetectorNeedsMinSamples(t *testing.T) {
 }
 
 func TestDetectorEWMATracksChange(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	feed(d, "s4", time.Millisecond, 50)
@@ -84,7 +84,7 @@ func TestDetectorEWMATracksChange(t *testing.T) {
 }
 
 func TestDetectorTimeoutsPenalized(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	for i := 0; i < 30; i++ {
@@ -102,7 +102,7 @@ func TestDetectorTimeoutsPenalized(t *testing.T) {
 }
 
 func TestDetectorReset(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 20)
 	d.Reset()
 	if len(d.Stats()) != 0 {
@@ -111,7 +111,7 @@ func TestDetectorReset(t *testing.T) {
 }
 
 func TestDetectorConcurrentObserve(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -136,7 +136,7 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 func TestDetectorSuspicionHysteresis(t *testing.T) {
 	// A peer hovering between the release and suspect thresholds must
 	// keep whichever verdict it last earned — no flapping.
-	d := New(DefaultConfig()) // suspect at 5x median, release at 2.5x
+	d := New(16) // suspect at 5x median, release at 2.5x
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	// s4 never suspected at 3.5x: below the entry threshold.
@@ -185,7 +185,7 @@ func ewmaOf(d *Detector, peer string) float64 {
 }
 
 func TestDetectorConsecutiveHealthy(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	feed(d, "s4", 80*time.Millisecond, 50)
@@ -212,7 +212,7 @@ func TestDetectorConsecutiveHealthy(t *testing.T) {
 }
 
 func TestDetectorHealthyAccessor(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	if !d.Healthy("never-seen") {
 		t.Fatal("unknown peer should default to healthy")
 	}
@@ -228,7 +228,7 @@ func TestDetectorHealthyAccessor(t *testing.T) {
 }
 
 func TestDetectorForget(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 50)
 	feed(d, "s3", time.Millisecond, 50)
 	feed(d, "s4", 80*time.Millisecond, 50)
@@ -257,7 +257,7 @@ func TestRenderHandlesArbitraryCounts(t *testing.T) {
 }
 
 func TestSelfMonitor(t *testing.T) {
-	s := NewSelf("cpu", 4, 3)
+	s := NewSelf("cpu")
 	if s.Slow() {
 		t.Fatal("slow before any samples")
 	}
@@ -291,7 +291,7 @@ func TestSelfMonitor(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(16)
 	feed(d, "s2", time.Millisecond, 20)
 	feed(d, "s3", time.Millisecond, 20)
 	feed(d, "s4", 50*time.Millisecond, 20)
@@ -302,32 +302,82 @@ func TestRender(t *testing.T) {
 }
 
 func TestDeadlineHint(t *testing.T) {
-	d := New(DefaultConfig())
-	if _, ok := d.DeadlineHint("s2", 3); ok {
+	d := New(16)
+	if _, ok := d.DeadlineHint("s2"); ok {
 		t.Fatal("hint available before MinSamples")
 	}
 	feed(d, "s2", 4*time.Millisecond, 50)
 	feed(d, "s3", 4*time.Millisecond, 50)
-	hint, ok := d.DeadlineHint("s2", 3)
+	hint, ok := d.DeadlineHint("s2")
 	if !ok {
 		t.Fatal("hint unavailable after MinSamples")
 	}
-	if hint < 10*time.Millisecond || hint > 14*time.Millisecond {
-		t.Fatalf("hint = %v, want ≈3× the 4ms EWMA", hint)
+	if hint < 8*time.Millisecond || hint > 12*time.Millisecond {
+		t.Fatalf("hint = %v, want ≈2.5× the 4ms EWMA", hint)
 	}
 	// A peer whose EWMA collapsed below the healthy median still gets a
 	// median-based hint: hedging against scheduler noise is the failure
 	// mode the max(peer, median) base exists to prevent.
 	feed(d, "s4", 100*time.Microsecond, 50)
-	fast, ok := d.DeadlineHint("s4", 3)
-	if !ok || fast < 10*time.Millisecond {
-		t.Fatalf("fast-peer hint = %v/%v, want median-based ≈12ms", fast, ok)
+	fast, ok := d.DeadlineHint("s4")
+	if !ok || fast < 8*time.Millisecond {
+		t.Fatalf("fast-peer hint = %v/%v, want median-based ≈10ms", fast, ok)
 	}
 	// The floor backstops everything.
-	d2 := New(DefaultConfig())
+	d2 := New(16)
 	feed(d2, "s2", 50*time.Microsecond, 50)
-	low, ok := d2.DeadlineHint("s2", 1.5)
-	if !ok || low < d2.cfg.Floor {
-		t.Fatalf("hint = %v/%v, want floored at %v", low, ok, d2.cfg.Floor)
+	low, ok := d2.DeadlineHint("s2")
+	if !ok || low < floor {
+		t.Fatalf("hint = %v/%v, want floored at %v", low, ok, floor)
+	}
+}
+
+// TestObserveDoesNotAllocate pins the per-round-trip cost: Observe
+// runs on every RPC of a server with a peer detector and of every
+// hedged client, so the median it judges against must come from a
+// reused buffer, computed once per call.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	d := New(16)
+	peers := []string{"s1", "s2", "s3", "s4"}
+	for _, p := range peers {
+		feed(d, p, time.Millisecond, 20)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		d.Observe(peers[i%len(peers)], time.Millisecond, false)
+		i++
+	}); n != 0 {
+		t.Fatalf("Observe allocates %.1f times per call, want 0", n)
+	}
+}
+
+func TestEWMA(t *testing.T) {
+	var e EWMA
+	if e.Samples() != 0 || e.Value() != 0 {
+		t.Fatalf("zero EWMA = %v over %d samples", e.Value(), e.Samples())
+	}
+	e.Add(80, 0.25)
+	if e.Value() != 80 || e.Samples() != 1 {
+		t.Fatalf("first sample did not seed: %v over %d", e.Value(), e.Samples())
+	}
+	e.Add(0, 0.25) // a zero-valued sample is a sample, not "empty"
+	if e.Value() != 60 || e.Samples() != 2 {
+		t.Fatalf("after a zero sample: %v over %d, want 60 over 2", e.Value(), e.Samples())
+	}
+	e.Add(100, 0.5)
+	if e.Value() != 80 {
+		t.Fatalf("fold at alpha 1/2 = %v, want 80", e.Value())
+	}
+	e.Reset()
+	if e.Samples() != 0 || e.Value() != 0 {
+		t.Fatalf("Reset left %v over %d samples", e.Value(), e.Samples())
+	}
+	e.Add(0, 0.25)
+	e.Add(40, 0.25)
+	if e.Value() != 10 {
+		t.Fatalf("zero seed after Reset then 40 at 1/4 = %v, want 10", e.Value())
 	}
 }

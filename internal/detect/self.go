@@ -5,41 +5,34 @@ import (
 	"time"
 )
 
+// Self-probe constants: the stretch EWMA weighs a new probe at
+// selfAlpha, and the resource is slow once that stretch reaches
+// selfSlowFactor over at least selfMinSamples probes.
+const (
+	selfAlpha      = 1.0 / 4
+	selfSlowFactor = 4
+	selfMinSamples = 3
+)
+
 // Self monitors one of the node's *own* resources for fail-slow
 // behavior — the paper's observation that a node can often tell it is
 // degraded (a throttled CPU, a wearing disk) before its peers can.
 // The caller periodically measures how long a fixed-size unit of work
 // actually takes and feeds it alongside the nominal (healthy) cost;
 // Self smooths the stretch ratio and reports Slow once it stays above
-// SlowFactor.
+// selfSlowFactor.
 //
 // Safe for concurrent use: the sentinel writes from the runtime
 // coroutine while harness code reads Slow()/Stretch().
 type Self struct {
 	mu sync.Mutex
 	// name identifies the resource ("cpu", "disk") in diagnostics.
-	name string
-	// slowFactor is the smoothed stretch beyond which the resource is
-	// considered fail-slow.
-	slowFactor float64
-	alpha      float64
-	minSamples int
-
-	stretch float64 // EWMA of actual/nominal
-	samples int
+	name    string
+	stretch EWMA // of actual/nominal
 }
 
-// NewSelf returns a monitor for one resource. slowFactor ≤ 1 takes
-// the mitigate default of 4; minSamples ≤ 0 defaults to 3.
-func NewSelf(name string, slowFactor float64, minSamples int) *Self {
-	if slowFactor <= 1 {
-		slowFactor = 4
-	}
-	if minSamples <= 0 {
-		minSamples = 3
-	}
-	return &Self{name: name, slowFactor: slowFactor, alpha: 0.25, minSamples: minSamples}
-}
+// NewSelf returns a monitor for one resource.
+func NewSelf(name string) *Self { return &Self{name: name} }
 
 // Observe folds one measurement: the actual time a probe took against
 // its nominal healthy cost. Non-positive inputs are ignored.
@@ -47,25 +40,19 @@ func (s *Self) Observe(actual, nominal time.Duration) {
 	if actual <= 0 || nominal <= 0 {
 		return
 	}
-	r := float64(actual) / float64(nominal)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.samples == 0 {
-		s.stretch = r
-	} else {
-		s.stretch = (1-s.alpha)*s.stretch + s.alpha*r
-	}
-	s.samples++
+	s.stretch.Add(float64(actual)/float64(nominal), selfAlpha)
 }
 
 // Stretch returns the smoothed actual/nominal ratio (1 = healthy).
 func (s *Self) Stretch() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.samples == 0 {
+	if s.stretch.Samples() == 0 {
 		return 1
 	}
-	return s.stretch
+	return s.stretch.Value()
 }
 
 // Slow reports whether the resource's smoothed stretch has crossed
@@ -73,7 +60,7 @@ func (s *Self) Stretch() float64 {
 func (s *Self) Slow() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.samples >= s.minSamples && s.stretch >= s.slowFactor
+	return s.stretch.Samples() >= selfMinSamples && s.stretch.Value() >= selfSlowFactor
 }
 
 // Name returns the resource label.
@@ -83,6 +70,5 @@ func (s *Self) Name() string { return s.name }
 func (s *Self) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stretch = 0
-	s.samples = 0
+	s.stretch.Reset()
 }

@@ -128,7 +128,7 @@ func startPopulation(sc Scenario, d *deployment, collector *trace.Collector) *po
 
 	if n := sc.Load.HedgeReaders; n > 0 {
 		p.hedger = hedge.New(hedge.Config{
-			DeadlineMult: 2.5, BudgetRatio: HedgeBudgetRatio, BudgetBurst: HedgeBudgetBurst,
+			BudgetRatio: HedgeBudgetRatio, BudgetBurst: HedgeBudgetBurst,
 			SpeculativeWrites: true, Node: "hedge-client", Recorder: sc.Recorder,
 		})
 		p.hedging.Store(true)

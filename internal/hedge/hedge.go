@@ -22,18 +22,14 @@ import (
 	"depfast/internal/obs"
 )
 
+// minSamples is how many round trips the client-side detector needs
+// before it judges a peer: a client should start hedging within its
+// first handful of requests, not after a server-grade observation
+// window.
+const minSamples = 8
+
 // Config tunes a Hedger.
 type Config struct {
-	// DeadlineMult scales the detector's per-peer latency estimate
-	// into a hedge deadline (default 3): hedge once the attempt runs
-	// 3× the peer's smoothed RTT.
-	DeadlineMult float64
-	// MinDeadline / MaxDeadline clamp the derived deadline (defaults
-	// 2ms / 500ms) so a microsecond-fast peer doesn't trigger hedges
-	// on scheduler noise and a degraded estimate can't postpone
-	// speculation past the RPC timeout.
-	MinDeadline time.Duration
-	MaxDeadline time.Duration
 	// BudgetRatio / BudgetBurst parameterize the token bucket
 	// (defaults 0.1 / 8): hedges ≤ ratio × requests + burst.
 	BudgetRatio float64
@@ -42,11 +38,6 @@ type Config struct {
 	// commands. Safe only against servers with session dedup (PR 5's
 	// exactly-once machinery); reads are always hedgeable.
 	SpeculativeWrites bool
-	// Detector tunes the client-side detector fed by Observe. The
-	// zero value takes detect defaults with MinSamples lowered to 8:
-	// a client should start hedging within its first handful of
-	// requests, not after a server-grade observation window.
-	Detector detect.Config
 	// Node names the emitting client on flight-recorder events.
 	Node string
 	// Recorder, when set, receives HedgeFired/HedgeWon/HedgeCancelled
@@ -73,22 +64,9 @@ type Hedger struct {
 
 // New returns a hedger; zero-value cfg fields take defaults.
 func New(cfg Config) *Hedger {
-	if cfg.DeadlineMult <= 1 {
-		cfg.DeadlineMult = 3
-	}
-	if cfg.MinDeadline <= 0 {
-		cfg.MinDeadline = 2 * time.Millisecond
-	}
-	if cfg.MaxDeadline <= 0 {
-		cfg.MaxDeadline = 500 * time.Millisecond
-	}
-	dcfg := cfg.Detector
-	if dcfg.MinSamples == 0 {
-		dcfg.MinSamples = 8
-	}
 	return &Hedger{
 		cfg:       cfg,
-		det:       detect.New(dcfg),
+		det:       detect.New(minSamples),
 		budget:    NewBudget(cfg.BudgetRatio, cfg.BudgetBurst),
 		rec:       cfg.Recorder,
 		Fired:     metrics.NewCounter("hedge.fired"),
@@ -127,21 +105,11 @@ func (h *Hedger) NoteRequest() { h.budget.NoteRequest() }
 func (h *Hedger) Healthy(peer string) bool { return h.det.Healthy(peer) }
 
 // Deadline returns the detector-informed hedge deadline for an
-// attempt against peer, clamped to [MinDeadline, MaxDeadline]. ok is
-// false until the detector has enough samples to estimate — callers
-// then skip hedging rather than guess.
+// attempt against peer (detect.Detector.DeadlineHint). ok is false
+// until the detector has enough samples to estimate — callers then
+// skip hedging rather than guess.
 func (h *Hedger) Deadline(peer string) (time.Duration, bool) {
-	d, ok := h.det.DeadlineHint(peer, h.cfg.DeadlineMult)
-	if !ok {
-		return 0, false
-	}
-	if d < h.cfg.MinDeadline {
-		d = h.cfg.MinDeadline
-	}
-	if d > h.cfg.MaxDeadline {
-		d = h.cfg.MaxDeadline
-	}
-	return d, true
+	return h.det.DeadlineHint(peer)
 }
 
 // TryFire asks to launch one hedge against target: it spends a budget

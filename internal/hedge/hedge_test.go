@@ -66,23 +66,23 @@ func TestDeadlineNeedsSamples(t *testing.T) {
 	if !ok {
 		t.Fatal("deadline unavailable after MinSamples observations")
 	}
-	// ~3× the 5ms EWMA, clamped within [2ms, 500ms].
-	if d < 10*time.Millisecond || d > 30*time.Millisecond {
-		t.Fatalf("deadline = %v, want ≈3× the 5ms estimate", d)
+	// 2.5× the 5ms EWMA, clamped within [2ms, 500ms].
+	if d < 10*time.Millisecond || d > 15*time.Millisecond {
+		t.Fatalf("deadline = %v, want ≈2.5× the 5ms estimate", d)
 	}
 }
 
 func TestDeadlineClamped(t *testing.T) {
-	h := New(Config{MinDeadline: 4 * time.Millisecond, MaxDeadline: 20 * time.Millisecond})
+	h := New(Config{})
 	for i := 0; i < 8; i++ {
 		h.Observe("fast", 100*time.Microsecond, false)
 		h.Observe("slow", 400*time.Millisecond, false)
 	}
-	if d, ok := h.Deadline("fast"); !ok || d != 4*time.Millisecond {
-		t.Fatalf("fast peer deadline = %v/%v, want clamp to MinDeadline 4ms", d, ok)
+	if d, ok := h.Deadline("fast"); !ok || d != 2*time.Millisecond {
+		t.Fatalf("fast peer deadline = %v/%v, want clamp to the 2ms floor", d, ok)
 	}
-	if d, ok := h.Deadline("slow"); !ok || d != 20*time.Millisecond {
-		t.Fatalf("slow peer deadline = %v/%v, want clamp to MaxDeadline 20ms", d, ok)
+	if d, ok := h.Deadline("slow"); !ok || d != 500*time.Millisecond {
+		t.Fatalf("slow peer deadline = %v/%v, want clamp to the 500ms cap", d, ok)
 	}
 }
 

@@ -17,6 +17,11 @@ package mitigate
 
 import "time"
 
+// selfDemoteAfter is how many consecutive self-slow ticks a leader
+// tolerates before handing leadership away. (What counts as self-slow
+// is detect.Self's stretch threshold.)
+const selfDemoteAfter = 3
+
 // Config tunes the mitigation policy. Zero-valued fields take the
 // defaults from DefaultConfig.
 type Config struct {
@@ -36,15 +41,6 @@ type Config struct {
 	// healthy probes, so a briefly-quiet fault cannot bounce straight
 	// back (default 300ms).
 	MinQuarantine time.Duration
-
-	// SelfDemoteAfter is how many consecutive self-slow ticks a leader
-	// tolerates before handing leadership away (default 3).
-	SelfDemoteAfter int
-
-	// SelfSlowFactor is the stretch ratio on the node's own resources
-	// (CPU, disk) beyond which it considers itself fail-slow
-	// (default 4).
-	SelfSlowFactor float64
 
 	// TransferCooldown is the minimum gap between self-demotion
 	// handoffs (default 2s), bounding leadership churn if the whole
@@ -76,8 +72,6 @@ func DefaultConfig() Config {
 		QuarantineAfter:  3,
 		RehabRTTs:        8,
 		MinQuarantine:    300 * time.Millisecond,
-		SelfDemoteAfter:  3,
-		SelfSlowFactor:   4,
 		TransferCooldown: 2 * time.Second,
 	}
 }
@@ -97,12 +91,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MinQuarantine <= 0 {
 		c.MinQuarantine = def.MinQuarantine
-	}
-	if c.SelfDemoteAfter <= 0 {
-		c.SelfDemoteAfter = def.SelfDemoteAfter
-	}
-	if c.SelfSlowFactor <= 1 {
-		c.SelfSlowFactor = def.SelfSlowFactor
 	}
 	if c.TransferCooldown <= 0 {
 		c.TransferCooldown = def.TransferCooldown
@@ -226,7 +214,7 @@ func (p *Policy) Tick(now time.Time, verdicts []PeerVerdict, selfSlow bool) Deci
 	} else {
 		p.selfSlowStreak = 0
 	}
-	if p.selfSlowStreak >= p.cfg.SelfDemoteAfter &&
+	if p.selfSlowStreak >= selfDemoteAfter &&
 		now.Sub(p.lastTransfer) >= p.cfg.TransferCooldown {
 		d.DemoteSelf = true
 		p.lastTransfer = now

@@ -11,7 +11,6 @@ func testConfig() Config {
 		QuarantineAfter:  3,
 		RehabRTTs:        4,
 		MinQuarantine:    100 * time.Millisecond,
-		SelfDemoteAfter:  3,
 		TransferCooldown: time.Second,
 		MaxQuarantined:   1,
 	}
@@ -176,7 +175,6 @@ func TestWithDefaultsFillsZeroFields(t *testing.T) {
 	def := DefaultConfig()
 	if cfg.Interval != def.Interval || cfg.QuarantineAfter != def.QuarantineAfter ||
 		cfg.RehabRTTs != def.RehabRTTs || cfg.MinQuarantine != def.MinQuarantine ||
-		cfg.SelfDemoteAfter != def.SelfDemoteAfter || cfg.SelfSlowFactor != def.SelfSlowFactor ||
 		cfg.TransferCooldown != def.TransferCooldown {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}

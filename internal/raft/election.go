@@ -39,6 +39,10 @@ func (s *Server) electionTicker(co *core.Coroutine) {
 	}
 }
 
+// heartbeatAlpha is the weight of a new sample in the slow-leader
+// detector's heartbeat gap and delay EWMAs.
+const heartbeatAlpha = 1.0 / 8
+
 // leaderSeemsSlow reports whether the leader looks fail-slow from
 // this follower: either the heartbeat cadence is stretched (gap EWMA)
 // or heartbeats arrive steadily but long after they were sent
@@ -47,24 +51,14 @@ func (s *Server) leaderSeemsSlow() bool {
 	if s.cfg.HeartbeatInterval == 0 {
 		return false
 	}
-	limit := time.Duration(float64(s.cfg.HeartbeatInterval) * s.cfg.SlowLeaderThreshold)
-	if s.hbGapEWMA > limit {
-		return true
-	}
-	return s.hbDelayEWMA > limit
+	limit := float64(s.cfg.HeartbeatInterval) * s.cfg.SlowLeaderThreshold
+	return s.hbGap.Value() > limit || s.hbDelay.Value() > limit
 }
 
 // observeHeartbeatDelay folds a measured heartbeat propagation delay
 // into the detector EWMA.
 func (s *Server) observeHeartbeatDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	if s.hbDelayEWMA == 0 {
-		s.hbDelayEWMA = d
-	} else {
-		s.hbDelayEWMA = (s.hbDelayEWMA*7 + d) / 8
-	}
+	s.hbDelay.Add(float64(max(d, 0)), heartbeatAlpha)
 }
 
 // observeHeartbeat folds a heartbeat arrival into the detector EWMA.
@@ -76,17 +70,13 @@ func (s *Server) observeHeartbeat() {
 	now := time.Now()
 	if s.leaderHint != s.hbLeader {
 		s.hbLeader = s.leaderHint
-		s.hbGapEWMA, s.hbDelayEWMA = 0, 0
+		s.hbGap.Reset()
+		s.hbDelay.Reset()
 		s.lastHeartbeat = now
 		return
 	}
-	gap := now.Sub(s.lastHeartbeat)
+	s.hbGap.Add(float64(now.Sub(s.lastHeartbeat)), heartbeatAlpha)
 	s.lastHeartbeat = now
-	if s.hbGapEWMA == 0 {
-		s.hbGapEWMA = gap
-	} else {
-		s.hbGapEWMA = (s.hbGapEWMA*7 + gap) / 8
-	}
 }
 
 // campaign runs one election round in DepFast style: a single

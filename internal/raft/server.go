@@ -246,9 +246,9 @@ type Server struct {
 	lastApplied uint64
 
 	lastHeartbeat time.Time
-	hbLeader      string        // whose cadence the EWMAs describe
-	hbGapEWMA     time.Duration // slow-leader detector: cadence
-	hbDelayEWMA   time.Duration // slow-leader detector: propagation delay
+	hbLeader      string      // whose cadence the EWMAs describe
+	hbGap         detect.EWMA // slow-leader detector: cadence, ns
+	hbDelay       detect.EWMA // slow-leader detector: propagation delay, ns
 
 	// Leadership handoff in flight: proposals freeze and clients are
 	// bounced to transferTo until the handoff lands or expires.
@@ -424,8 +424,8 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 			s.autoQuarCap = true
 		}
 		s.policy = mitigate.NewPolicy(mcfg)
-		s.selfCPU = detect.NewSelf("cpu", mcfg.SelfSlowFactor, 3)
-		s.selfDisk = detect.NewSelf("disk", mcfg.SelfSlowFactor, 3)
+		s.selfCPU = detect.NewSelf("cpu")
+		s.selfDisk = detect.NewSelf("disk")
 		// Nominal probe costs are captured now, before any fault lands,
 		// so later probes measure the stretch against a healthy baseline.
 		s.nominalCPU = e.ComputeCost(time.Millisecond)
@@ -439,7 +439,7 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 	s.cache = storage.NewEntryCache(cfg.EntryCacheSize)
 	epOpts := []rpc.Option{rpc.WithCallTimeout(commitTimeout)}
 	if cfg.PeerDetector {
-		s.detector = detect.New(detect.DefaultConfig())
+		s.detector = detect.New(16) // a peer is judged after 16 round trips
 		epOpts = append(epOpts, rpc.WithLatencyObserver(s.detector.Observe))
 		if s.trc != nil {
 			// Trace-derived critical-path blame corroborates or vetoes

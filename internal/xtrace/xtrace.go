@@ -21,6 +21,8 @@ package xtrace
 import (
 	"sync"
 	"time"
+
+	"depfast/internal/detect"
 )
 
 // Resource classifies what a span was waiting on. Attribution
@@ -75,54 +77,34 @@ type Trace struct {
 	Spans    []Span        `json:"spans"`
 }
 
+// Collector constants. A request is tail-promoted once its duration
+// reaches max(tailFloor, tailFactor × EWMA(duration)), the EWMA folded
+// at durationAlpha: "slow" tracks the deployment, not a constant.
+const (
+	tailFactor    = 3
+	tailFloor     = 25 * time.Millisecond
+	durationAlpha = 1.0 / 8
+	maxPending    = 4096            // in-flight traces; beyond it requests run untraced (Stats.Overflow)
+	maxSpans      = 512             // spans kept per trace; later ones are dropped (Stats.DroppedSpans)
+	foreignLinger = 3 * time.Second // idle time before a foreign fragment is finalized locally
+)
+
 // Config tunes a Collector. Zero fields take defaults.
 type Config struct {
 	// SampleEvery keeps every Nth request's full tree regardless of
-	// latency (head sampling). <=0 disables head sampling entirely.
+	// latency (head sampling); default 64. <0 disables head sampling.
 	SampleEvery int
-	// TailFactor and TailFloor define the tail-promotion deadline when
-	// no explicit deadline is set: a request is promoted when its
-	// duration exceeds max(TailFloor, TailFactor × EWMA(duration)).
-	// The EWMA is the collector's own live estimate of normal request
-	// latency — the same shape of signal the fail-slow detector keeps
-	// per peer — so "slow" tracks the deployment, not a constant.
-	TailFactor float64
-	TailFloor  time.Duration
-	// MaxPending bounds in-flight tracked requests; beyond it new
-	// requests run untraced (counted in Stats.Overflow).
-	MaxPending int
-	// MaxSpans bounds spans retained per trace (drops counted).
-	MaxSpans int
 	// MaxRetained bounds kept (sampled or promoted) traces; the ring
-	// drops oldest.
+	// drops oldest. Default 512.
 	MaxRetained int
-	// ForeignLinger is how long a server-side trace fragment (a trace
-	// whose root lives in another process) may stay idle before it is
-	// finalized locally.
-	ForeignLinger time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 64
 	}
-	if c.TailFactor <= 0 {
-		c.TailFactor = 3
-	}
-	if c.TailFloor <= 0 {
-		c.TailFloor = 25 * time.Millisecond
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 4096
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
-	}
 	if c.MaxRetained <= 0 {
 		c.MaxRetained = 512
-	}
-	if c.ForeignLinger <= 0 {
-		c.ForeignLinger = 3 * time.Second
 	}
 	return c
 }
@@ -170,8 +152,8 @@ type Collector struct {
 	headKept, tailKept  int64
 	overflow, dropSpans int64
 
-	ewma     time.Duration // EWMA of finished request durations
-	deadline time.Duration // explicit override (0 = derive from EWMA)
+	durations detect.EWMA   // of finished request durations, ns
+	deadline  time.Duration // explicit override (0 = derive from EWMA)
 
 	sweepTick int
 
@@ -218,7 +200,7 @@ func (c *Collector) StartRequest(name, node string) Context {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.pendings) >= c.cfg.MaxPending {
+	if len(c.pendings) >= maxPending {
 		c.overflow++
 		return Context{}
 	}
@@ -238,7 +220,7 @@ func (c *Collector) StartRequest(name, node string) Context {
 // (auto-assigned) or a value from NewSpanID; sp.Parent should be a
 // span id from the same trace (commonly ctx.Span). Returns the span
 // id. A trace unknown to this collector (the root lives in another
-// process) gets a foreign pending entry finalized after ForeignLinger.
+// process) gets a foreign pending entry finalized after foreignLinger.
 // Nil- and inactive-context safe.
 func (c *Collector) Record(ctx Context, sp Span) uint64 {
 	if c == nil || !ctx.Active() {
@@ -252,7 +234,7 @@ func (c *Collector) Record(ctx Context, sp Span) uint64 {
 		if _, done := c.recent[ctx.TraceID]; done {
 			return 0 // late span for an already-finished trace
 		}
-		if len(c.pendings) >= c.cfg.MaxPending {
+		if len(c.pendings) >= maxPending {
 			c.overflow++
 			return 0
 		}
@@ -261,7 +243,7 @@ func (c *Collector) Record(ctx Context, sp Span) uint64 {
 		c.pendings[ctx.TraceID] = p
 	}
 	p.last = now
-	if len(p.spans) >= c.cfg.MaxSpans {
+	if len(p.spans) >= maxSpans {
 		p.dropped++
 		c.dropSpans++
 		return 0
@@ -311,11 +293,7 @@ func (c *Collector) finalizeLocked(id uint64, p *pending, end time.Time) {
 	}
 	dur := end.Sub(p.start)
 	deadline := c.deadlineLocked()
-	if c.ewma == 0 {
-		c.ewma = dur
-	} else {
-		c.ewma += (dur - c.ewma) / 8 // alpha = 1/8, detector-style
-	}
+	c.durations.Add(float64(dur), durationAlpha)
 	promoted := dur >= deadline
 	if !p.sampled && !promoted {
 		return
@@ -375,7 +353,7 @@ func (c *Collector) maybeSweepLocked(now time.Time) {
 // rather than holding them pending until the next write.
 func (c *Collector) sweepLocked(now time.Time) {
 	for id, p := range c.pendings {
-		if !p.foreign || now.Sub(p.last) < c.cfg.ForeignLinger {
+		if !p.foreign || now.Sub(p.last) < foreignLinger {
 			continue
 		}
 		delete(c.pendings, id)
@@ -420,11 +398,7 @@ func (c *Collector) deadlineLocked() time.Duration {
 	if c.deadline > 0 {
 		return c.deadline
 	}
-	d := time.Duration(c.cfg.TailFactor * float64(c.ewma))
-	if d < c.cfg.TailFloor {
-		d = c.cfg.TailFloor
-	}
-	return d
+	return max(tailFloor, time.Duration(tailFactor*c.durations.Value()))
 }
 
 // Traces returns a copy of the retained traces, oldest first.
@@ -484,7 +458,7 @@ func (c *Collector) Stats() Stats {
 		Pending:      len(c.pendings),
 		Overflow:     c.overflow,
 		DroppedSpans: c.dropSpans,
-		EWMA:         c.ewma,
+		EWMA:         time.Duration(c.durations.Value()),
 		Deadline:     c.deadlineLocked(),
 	}
 }

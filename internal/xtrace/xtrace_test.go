@@ -27,7 +27,8 @@ func TestNilCollectorIsSafe(t *testing.T) {
 }
 
 func TestHeadSamplingKeepsEveryNth(t *testing.T) {
-	c := NewCollector(Config{SampleEvery: 4, TailFloor: time.Hour})
+	c := NewCollector(Config{SampleEvery: 4})
+	c.SetDeadline(time.Hour)
 	sampled := 0
 	for i := 0; i < 16; i++ {
 		ctx := c.StartRequest("req", "client")
@@ -49,7 +50,8 @@ func TestHeadSamplingKeepsEveryNth(t *testing.T) {
 }
 
 func TestSampleEveryOneKeepsAll(t *testing.T) {
-	c := NewCollector(Config{SampleEvery: 1, TailFloor: time.Hour})
+	c := NewCollector(Config{SampleEvery: 1})
+	c.SetDeadline(time.Hour)
 	for i := 0; i < 5; i++ {
 		ctx := c.StartRequest("req", "client")
 		if !ctx.Sampled {
@@ -63,16 +65,13 @@ func TestSampleEveryOneKeepsAll(t *testing.T) {
 }
 
 func TestTailPromotionOverDeadline(t *testing.T) {
-	c := NewCollector(Config{SampleEvery: -1, TailFloor: 10 * time.Millisecond})
+	c := NewCollector(Config{SampleEvery: -1})
 	// Fast request: dropped.
 	ctx := c.StartRequest("fast", "client")
 	c.Finish(ctx, time.Now())
-	// Slow request: backdate the start past the floor.
+	// Slow request: finish it past the 25ms floor.
 	ctx = c.StartRequest("slow", "client")
-	c.mu.Lock()
-	c.pendings[ctx.TraceID].start = time.Now().Add(-50 * time.Millisecond)
-	c.mu.Unlock()
-	c.Finish(ctx, time.Now())
+	c.Finish(ctx, time.Now().Add(2*tailFloor))
 
 	traces := c.Traces()
 	if len(traces) != 1 || !traces[0].Promoted || traces[0].Name != "slow" {
@@ -84,7 +83,7 @@ func TestTailPromotionOverDeadline(t *testing.T) {
 }
 
 func TestExplicitDeadlineOverride(t *testing.T) {
-	c := NewCollector(Config{SampleEvery: -1, TailFloor: time.Hour})
+	c := NewCollector(Config{SampleEvery: -1})
 	c.SetDeadline(time.Nanosecond)
 	ctx := c.StartRequest("req", "client")
 	time.Sleep(time.Millisecond)
@@ -131,20 +130,19 @@ func TestSpanTreeAndParentLinks(t *testing.T) {
 }
 
 func TestForeignFragmentFinalizedAfterLinger(t *testing.T) {
-	c := NewCollector(Config{SampleEvery: -1, TailFloor: 5 * time.Millisecond,
-		ForeignLinger: time.Millisecond})
+	c := NewCollector(Config{SampleEvery: -1})
 	// A span for a trace this collector never started (wire-propagated
 	// from another process), long enough to tail-promote.
 	foreign := Context{TraceID: 999, Span: 1}
-	t0 := time.Now().Add(-20 * time.Millisecond)
+	t0 := time.Now().Add(-2 * tailFloor)
 	c.Record(foreign, Span{Name: "commit", Node: "s1", Res: CPU,
-		Start: t0, End: t0.Add(15 * time.Millisecond)})
+		Start: t0, End: t0.Add(tailFloor + 5*time.Millisecond)})
 	if got := c.Stats().Pending; got != 1 {
 		t.Fatalf("pending %d, want 1 foreign fragment", got)
 	}
 	// Age it past the linger, then drive sweeps via unrelated activity.
 	c.mu.Lock()
-	c.pendings[999].last = time.Now().Add(-time.Second)
+	c.pendings[999].last = time.Now().Add(-foreignLinger - time.Second)
 	c.mu.Unlock()
 	for i := 0; i < 130; i++ {
 		c.Record(Context{TraceID: 999000, Span: 1}, Span{Name: "x", Node: "n"})
@@ -190,11 +188,13 @@ func TestRetainedRingDropsOldest(t *testing.T) {
 }
 
 func TestPendingOverflowRunsUntraced(t *testing.T) {
-	c := NewCollector(Config{MaxPending: 2})
-	a := c.StartRequest("a", "n")
-	b := c.StartRequest("b", "n")
-	over := c.StartRequest("c", "n")
-	if !a.Active() || !b.Active() || over.Active() {
+	c := NewCollector(Config{})
+	for i := 0; i < maxPending; i++ {
+		if !c.StartRequest("a", "n").Active() {
+			t.Fatalf("request %d of %d got an inactive context", i, maxPending)
+		}
+	}
+	if c.StartRequest("c", "n").Active() {
 		t.Fatal("overflow request got an active context")
 	}
 	if c.Stats().Overflow != 1 {
