@@ -12,8 +12,9 @@ type Coroutine struct {
 	name string
 	rt   *Runtime
 
-	resume chan struct{}
-	timer  timer // armed for the timed wait or sleep in progress
+	fn     func(co *Coroutine) // the body, until the scheduler starts it
+	resume chan struct{}       // made at the first park (see switchOut)
+	timer  timer               // armed for the timed wait or sleep in progress
 
 	readyAt, runAt time.Time // last entered the run queue / last given the baton
 
@@ -42,7 +43,20 @@ func (co *Coroutine) RunAt() time.Time   { return co.runAt }
 // park yields the baton and blocks until the scheduler resumes us.
 func (co *Coroutine) park() {
 	co.rt.parkedSet[co] = struct{}{}
-	co.rt.yielded <- struct{}{}
+	co.switchOut()
+}
+
+// switchOut gives the baton back to the scheduler and blocks until it
+// is handed back. At the first park the body is still running on the
+// scheduler's own goroutine (see Runtime.begin): it keeps that
+// goroutine, and a new one takes over the scheduler loop.
+func (co *Coroutine) switchOut() {
+	if co.resume == nil {
+		co.resume = make(chan struct{})
+		go co.rt.loop()
+	} else {
+		co.rt.yielded <- struct{}{}
+	}
 	<-co.resume
 }
 
@@ -52,8 +66,7 @@ func (co *Coroutine) Yield() error {
 	co.queued = true
 	co.readyAt = time.Now()
 	co.rt.fifo.PushBack(co)
-	co.rt.yielded <- struct{}{}
-	<-co.resume
+	co.switchOut()
 	if co.stopKill {
 		return ErrStopped
 	}

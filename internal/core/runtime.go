@@ -8,14 +8,19 @@
 //
 // # Execution model
 //
-// A Runtime owns one scheduler goroutine. Coroutines are ordinary
-// goroutines that execute only while holding the runtime's baton; the
-// scheduler and the running coroutine strictly alternate, so at most
-// one piece of logic code runs at a time per Runtime. All event state
-// is therefore mutated without locks, exactly like the single-threaded
+// At most one piece of logic code runs at a time per Runtime: whoever
+// holds the runtime's baton. The scheduler loop holds it between
+// coroutines and runs a new coroutine's body on the loop's goroutine
+// until the body returns or first parks, so a coroutine that never
+// waits costs neither a goroutine nor a channel hand-off. A coroutine
+// that parks keeps the goroutine it started on: a new goroutine takes
+// over the scheduler loop, and from then on the coroutine and the
+// scheduler pass the baton back and forth over channels. When that
+// coroutine finishes, its goroutine ends with it. All event state is
+// therefore mutated without locks, exactly like the single-threaded
 // event loop + I/O helper threads design in the paper. External
 // completions (RPC replies, disk flushes, timers) enter through
-// Runtime.Post and are applied on the scheduler goroutine.
+// Runtime.Post and are applied by the scheduler.
 //
 // # Scheduling order
 //
@@ -75,6 +80,7 @@ type Runtime struct {
 	post    chan func()
 	timers  timerHeap
 	yielded chan struct{}
+	idle    *time.Timer // one timer, re-armed for every idle wait
 
 	// The run queue (see "Scheduling order" above). wokenLeft is how
 	// many of the woken class the current round may still run; inRound
@@ -86,7 +92,7 @@ type Runtime struct {
 	now       time.Time // the loop's latest clock read
 	start     time.Time // timer deadlines are offsets from it
 
-	done     chan struct{} // closed when the loop exits
+	done     chan struct{} // closed when the loop has drained for Stop
 	stopping atomic.Bool
 	stopOnce sync.Once
 	loopWG   sync.WaitGroup
@@ -95,8 +101,6 @@ type Runtime struct {
 	live      int                     // coroutines spawned and not yet finished
 	parkedSet map[*Coroutine]struct{} // coroutines parked on events/timers
 
-	// batonOwner guards against misuse: methods that require the baton
-	// panic when called from outside scheduler context in debug mode.
 	spawnedTotal atomic.Int64
 	panics       atomic.Int64
 }
@@ -169,35 +173,19 @@ func (rt *Runtime) Spawn(name string, fn func(co *Coroutine)) bool {
 }
 
 // spawnLocked creates the coroutine, ready since at; scheduler context
-// only.
+// only. Its body first runs when the scheduler reaches it (see begin).
 func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine), at time.Time) {
 	rt.nextCoID++
 	co := &Coroutine{
 		id:      rt.nextCoID,
 		name:    name,
 		rt:      rt,
-		resume:  make(chan struct{}),
+		fn:      fn,
 		queued:  true,
 		readyAt: at,
 		timer:   timer{idx: -1},
 	}
 	rt.live++
-	go func() {
-		<-co.resume // wait for first schedule
-		defer func() {
-			// A panicking coroutine must still return the baton or the
-			// scheduler deadlocks. Recover, count, and finish — the
-			// per-request isolation every server runtime needs.
-			if r := recover(); r != nil {
-				rt.panics.Add(1)
-				log.Printf("core: runtime %s: coroutine %q panicked: %v\n%s",
-					rt.name, co.name, r, debug.Stack())
-			}
-			co.finished = true
-			rt.yielded <- struct{}{}
-		}()
-		fn(co)
-	}()
 	rt.fifo.PushBack(co)
 }
 
@@ -219,13 +207,13 @@ func (rt *Runtime) Stop() {
 // Stopped reports whether Stop has been requested.
 func (rt *Runtime) Stopped() bool { return rt.stopping.Load() }
 
-// loop is the scheduler: strictly alternates with coroutines via the
-// resume/yielded channels, applies posted completions, and fires
-// timers.
+// loop is the scheduler: applies posted completions, fires timers and
+// hands the baton to one ready coroutine at a time. It runs on one
+// goroutine at a time and returns when that goroutine stops being the
+// scheduler: a coroutine started on it parked, which made a new
+// goroutine the scheduler, and has now finished. The loop that drains
+// for Stop closes done.
 func (rt *Runtime) loop() {
-	defer rt.loopWG.Done()
-	defer close(rt.done)
-	var idle *time.Timer // one timer, re-armed for every idle wait
 	for {
 		// Apply all pending posted completions without blocking.
 	drain:
@@ -246,13 +234,18 @@ func (rt *Runtime) loop() {
 		}
 
 		if rt.stopping.Load() {
-			rt.drainForStop()
+			if rt.drainForStop() {
+				close(rt.done)
+				rt.loopWG.Done()
+			}
 			return
 		}
 
 		// Run one ready coroutine to completion of its next yield.
 		if co := rt.next(); co != nil {
-			rt.runOne(co)
+			if !rt.runOne(co) {
+				return
+			}
 			continue
 		}
 
@@ -262,18 +255,18 @@ func (rt *Runtime) loop() {
 			if d <= 0 {
 				continue
 			}
-			if idle == nil {
-				idle = time.NewTimer(d)
+			if rt.idle == nil {
+				rt.idle = time.NewTimer(d)
 			} else {
-				idle.Reset(d) // stopped or drained below, so Reset is safe
+				rt.idle.Reset(d) // stopped or drained below, so Reset is safe
 			}
 			select {
 			case fn := <-rt.post:
-				if !idle.Stop() {
-					<-idle.C
+				if !rt.idle.Stop() {
+					<-rt.idle.C
 				}
 				fn()
-			case <-idle.C:
+			case <-rt.idle.C:
 			}
 			continue
 		}
@@ -305,20 +298,66 @@ func (rt *Runtime) next() *Coroutine {
 	}
 }
 
-// runOne hands the baton to co and waits for it to yield or finish.
-func (rt *Runtime) runOne(co *Coroutine) {
+// runOne hands the baton to co and takes it back when co parks or
+// finishes. It reports whether the calling goroutine is still the
+// scheduler; when it is not, the caller returns without touching the
+// runtime again.
+func (rt *Runtime) runOne(co *Coroutine) bool {
 	co.queued = false
 	co.runAt = rt.now
+	if co.fn != nil {
+		return rt.begin(co)
+	}
 	co.resume <- struct{}{}
 	<-rt.yielded
 	if co.finished {
 		rt.live--
 	}
+	return true
+}
+
+// begin runs co's body on the scheduler's goroutine. A body that
+// returns without parking leaves this goroutine the scheduler. One that
+// parked made another goroutine the scheduler (see Coroutine.switchOut)
+// and kept this one, so when it finishes it hands the baton back to
+// that scheduler and this goroutine stops scheduling.
+func (rt *Runtime) begin(co *Coroutine) (scheduler bool) {
+	fn := co.fn
+	co.fn = nil
+	exited := true // still true in the deferred call only after runtime.Goexit
+	defer func() {
+		// A panicking coroutine must still return the baton or the
+		// scheduler deadlocks. Recover, count, and finish — the
+		// per-request isolation every server runtime needs.
+		if r := recover(); r != nil {
+			exited = false
+			rt.panics.Add(1)
+			log.Printf("core: runtime %s: coroutine %q panicked: %v\n%s",
+				rt.name, co.name, r, debug.Stack())
+		}
+		co.finished = true
+		if co.resume != nil {
+			rt.yielded <- struct{}{}
+			return
+		}
+		rt.live--
+		if exited {
+			// runtime.Goexit (t.FailNow in a test) ends this goroutine
+			// with the body: the scheduler goes on on a new one.
+			go rt.loop()
+		}
+		scheduler = true
+	}()
+	fn(co)
+	exited = false
+	return
 }
 
 // drainForStop wakes every parked coroutine with the stopped flag and
-// runs coroutines until none remain (or they are unwakeable).
-func (rt *Runtime) drainForStop() {
+// runs coroutines until none remain (or they are unwakeable). It
+// reports false when the calling goroutine stopped being the scheduler
+// on the way: the goroutine that took over drains in its place.
+func (rt *Runtime) drainForStop() bool {
 	// Wake everything that is parked: parked coroutines are exactly
 	// those registered as event waiters or timer owners; rather than
 	// track a global set, we track parked coroutines directly.
@@ -329,7 +368,9 @@ func (rt *Runtime) drainForStop() {
 		}
 		progress := false
 		for co := rt.next(); co != nil; co = rt.next() {
-			rt.runOne(co)
+			if !rt.runOne(co) {
+				return false
+			}
 			progress = true
 		}
 		// Apply any posts issued during unwinding (e.g. deferred cleanups).
@@ -344,12 +385,13 @@ func (rt *Runtime) drainForStop() {
 			}
 		}
 		if rt.live == 0 {
-			return
+			return true
 		}
 		if !progress {
-			return // coroutines stuck outside our control; abandon
+			return true // coroutines stuck outside our control; abandon
 		}
 	}
+	return true
 }
 
 // parked returns the coroutines currently parked on events or timers.

@@ -3,6 +3,8 @@ package core
 import (
 	"io"
 	"log"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,21 +382,24 @@ func TestYieldFairness(t *testing.T) {
 	var mu sync.Mutex
 	var seq []string
 	var wg sync.WaitGroup
-	for _, name := range []string{"a", "b"} {
-		wg.Add(1)
-		name := name
-		rt.Spawn(name, func(co *Coroutine) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				mu.Lock()
-				seq = append(seq, name)
-				mu.Unlock()
-				if err := co.Yield(); err != nil {
-					return
+	wg.Add(2)
+	// Both are spawned from one posted closure, so both are queued
+	// before either runs.
+	rt.Post(func() {
+		for _, name := range []string{"a", "b"} {
+			rt.Spawn(name, func(co *Coroutine) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					mu.Lock()
+					seq = append(seq, name)
+					mu.Unlock()
+					if err := co.Yield(); err != nil {
+						return
+					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 	wg.Wait()
 	// With strict round-robin yielding we expect interleaving a,b,a,b,...
 	mu.Lock()
@@ -485,5 +490,114 @@ func TestCoroutinePanicMidWaitersUnaffected(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter starved after another coroutine panicked")
+	}
+}
+
+// within fails the test unless ch is closed within 5 s.
+func within(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: not within 5s", what)
+	}
+}
+
+// A body begins on the scheduler's goroutine, so runtime.Goexit (what
+// t.FailNow does) before its first park ends that goroutine: the
+// scheduler must go on on another one.
+func TestGoexitDoesNotKillRuntime(t *testing.T) {
+	rt := NewRuntime("goexit")
+	for _, yieldFirst := range []bool{false, true} {
+		exited := make(chan struct{})
+		rt.Spawn("quitter", func(co *Coroutine) {
+			defer close(exited)
+			if yieldFirst {
+				_ = co.Yield()
+			}
+			goruntime.Goexit()
+		})
+		within(t, exited, "Goexit")
+		done := make(chan struct{})
+		rt.Spawn("after", func(co *Coroutine) {
+			if co.Sleep(time.Millisecond) == nil {
+				close(done)
+			}
+		})
+		within(t, done, "spawn after Goexit")
+	}
+	stopped := make(chan struct{})
+	go func() { rt.Stop(); close(stopped) }()
+	within(t, stopped, "Stop after Goexit")
+}
+
+// A coroutine that parks keeps the goroutine it began on while the
+// scheduler moves to a new one; it must be able to wake, park again
+// and finish while other coroutines begin and park in between.
+func TestParkAcrossSchedulerHandover(t *testing.T) {
+	run(t, func(co *Coroutine) {
+		rt := co.Runtime()
+		ev1, ev2 := NewSignalEvent(), NewSignalEvent()
+		var steps []string
+		rt.Spawn("a", func(a *Coroutine) {
+			steps = append(steps, "a1")
+			_ = a.Wait(ev1)
+			steps = append(steps, "a2")
+			_ = a.Sleep(time.Millisecond)
+			steps = append(steps, "a3")
+			ev2.Set()
+		})
+		rt.Spawn("b", func(b *Coroutine) {
+			steps = append(steps, "b1")
+			_ = b.Yield()
+			steps = append(steps, "b2")
+			ev1.Set()
+			steps = append(steps, "b3")
+		})
+		if err := co.Wait(ev2); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if got, want := strings.Join(steps, " "), "a1 b1 b2 b3 a2 a3"; got != want {
+			t.Errorf("steps = %q, want %q", got, want)
+		}
+	})
+}
+
+// Coroutines still queued when Stop drains begin during the drain; a
+// first Yield hands the scheduler over mid-drain, a first Sleep or Wait
+// returns ErrStopped, and Stop returns.
+func TestStopWithUnstartedCoroutines(t *testing.T) {
+	rt := NewRuntime("stop-fresh")
+	gate := make(chan struct{})
+	rt.Post(func() { <-gate }) // nothing below begins before Stop
+	var finished atomic.Int32
+	never := NewSignalEvent()
+	for i := 0; i < 4; i++ {
+		rt.Spawn("yield", func(co *Coroutine) {
+			_ = co.Yield()
+			if co.Sleep(time.Hour) == ErrStopped {
+				finished.Add(1)
+			}
+		})
+		rt.Spawn("sleep", func(co *Coroutine) {
+			if co.Sleep(time.Hour) == ErrStopped {
+				finished.Add(1)
+			}
+		})
+		rt.Spawn("wait", func(co *Coroutine) {
+			if co.Wait(never) == ErrStopped {
+				finished.Add(1)
+			}
+		})
+	}
+	stopped := make(chan struct{})
+	go func() { rt.Stop(); close(stopped) }()
+	for !rt.Stopped() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	within(t, stopped, "Stop")
+	if n := finished.Load(); n != 12 {
+		t.Errorf("%d of 12 coroutines saw ErrStopped", n)
 	}
 }
