@@ -54,7 +54,7 @@ figures:
 # are ratchets like lint-baseline.json: they may shrink,
 # never grow past what the last PR landed.
 LOC_MAX = 3694
-RAFT_MAX = 4492
+RAFT_MAX = 4490
 TELEMETRY_MAX = 3109
 FAILSLOW_MAX = 326
 DETECT_MAX = 928

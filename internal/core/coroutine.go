@@ -61,13 +61,16 @@ func (co *Coroutine) switchOut() {
 }
 
 // Yield gives up the baton but stays runnable, letting other ready
-// coroutines run first. Returns ErrStopped during shutdown.
+// coroutines run first. Returns ErrStopped once shutdown has begun: a
+// yielding coroutine is never parked, so shutdown cannot mark it, and
+// a loop on Yield must see the stop itself for Stop to return.
 func (co *Coroutine) Yield() error {
 	co.queued = true
 	co.readyAt = time.Now()
 	co.rt.fifo.PushBack(co)
 	co.switchOut()
-	if co.stopKill {
+	if co.stopKill || co.rt.stopping.Load() {
+		co.stopKill = true
 		return ErrStopped
 	}
 	return nil

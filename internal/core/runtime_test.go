@@ -267,6 +267,26 @@ func TestStopWakesParked(t *testing.T) {
 	}
 }
 
+// A coroutine that loops on Yield is never parked, so shutdown cannot
+// mark it; Yield itself must report the stop, or Stop never returns.
+func TestStopEndsYieldLoop(t *testing.T) {
+	rt := NewRuntime("stop-yield")
+	spinning := make(chan struct{})
+	rt.Spawn("spin", func(co *Coroutine) {
+		close(spinning)
+		for co.Yield() == nil {
+		}
+	})
+	<-spinning
+	stopped := make(chan struct{})
+	go func() { rt.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop did not return within 1s with a coroutine looping on Yield")
+	}
+}
+
 func TestStopIdempotent(t *testing.T) {
 	rt := NewRuntime("stop2")
 	rt.Stop()

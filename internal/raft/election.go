@@ -15,8 +15,7 @@ import (
 // leader is fail-slow (§5: demote a fail-slow leader to a fail-slow
 // follower, which DepFastRaft tolerates).
 func (s *Server) electionTicker(co *core.Coroutine) {
-	for !s.stopped {
-		timeout := s.electionTimeout()
+	for timeout := s.firstElectionTimeout(); !s.stopped; timeout = s.electionTimeout() {
 		if err := co.Sleep(timeout); err != nil {
 			return
 		}
@@ -241,16 +240,14 @@ func (s *Server) handleRequestVote(co *core.Coroutine, from string, req codec.Me
 		!(s.cfg.SlowLeaderDetector && s.leaderSeemsSlow()) {
 		return &RequestVoteReply{Term: s.term, Granted: false}
 	}
+	upToDate := m.LastLogTerm > s.termOf(s.wal.LastIndex()) ||
+		(m.LastLogTerm == s.termOf(s.wal.LastIndex()) && m.LastLogIndex >= s.wal.LastIndex())
 	if m.PreVote {
-		upToDate := m.LastLogTerm > s.termOf(s.wal.LastIndex()) ||
-			(m.LastLogTerm == s.termOf(s.wal.LastIndex()) && m.LastLogIndex >= s.wal.LastIndex())
 		return &RequestVoteReply{Term: s.term, Granted: upToDate}
 	}
 	if m.Term > s.term {
 		s.stepDown(m.Term, "")
 	}
-	upToDate := m.LastLogTerm > s.termOf(s.wal.LastIndex()) ||
-		(m.LastLogTerm == s.termOf(s.wal.LastIndex()) && m.LastLogIndex >= s.wal.LastIndex())
 	granted := (s.votedFor == "" || s.votedFor == m.Candidate) && upToDate
 	if granted {
 		s.votedFor = m.Candidate

@@ -217,8 +217,7 @@ func (s *Server) followerRead(co *core.Coroutine, m *kv.ClientRequest, tc xtrace
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: leader, Err: ErrNotLeader.Error()}
 	}
 	s.e.Compute(followerComputePerOp)
-	traced := s.trc != nil && tc.Active()
-	t0 := time.Now()
+	t0 := s.stamp(tc)
 	ev := s.ep.Call(leader, &ReadIndexQuery{From: s.cfg.ID})
 	if co.WaitFor(ev, commitTimeout) != core.WaitReady || ev.Err() != nil {
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: s.leaderHint,
@@ -236,7 +235,7 @@ func (s *Server) followerRead(co *core.Coroutine, m *kv.ClientRequest, tc xtrace
 	if rep.Term > s.term {
 		s.stepDown(rep.Term, leader)
 	}
-	confirmAt := time.Now()
+	confirm := xtrace.Span{Name: "followerread.confirm", Node: leader, Start: t0, End: s.stamp(tc)}
 	// Fast-forward: if we already hold the entry at the read index with
 	// the leader's term for it, Log Matching says our prefix equals the
 	// leader's committed prefix, so it is safe to commit and apply now
@@ -246,25 +245,5 @@ func (s *Server) followerRead(co *core.Coroutine, m *kv.ClientRequest, tc xtrace
 		s.commitIndex = rep.Index
 		s.applyUpTo()
 	}
-	if s.lastApplied < rep.Index {
-		sig := core.NewSignalEvent()
-		s.appliedWaiters = append(s.appliedWaiters, appliedWaiter{idx: rep.Index, sig: sig})
-		if co.WaitFor(sig, commitTimeout) != core.WaitReady {
-			return &kv.ClientResponse{OK: false, Err: "followerread: apply lag"}
-		}
-	}
-	res := s.sm.Store().Apply(m.Cmd)
-	if traced {
-		end := time.Now()
-		rootID := s.trc.NewSpanID()
-		s.trc.Record(tc, xtrace.Span{Parent: rootID, Name: "followerread.confirm",
-			Node: leader, Res: xtrace.Net, Start: t0, End: confirmAt})
-		if end.Sub(confirmAt) > 500*time.Microsecond {
-			s.trc.Record(tc, xtrace.Span{Parent: rootID, Name: "followerread.apply-wait",
-				Node: s.cfg.ID, Res: xtrace.Queue, Start: confirmAt, End: end})
-		}
-		s.trc.Record(tc, xtrace.Span{ID: rootID, Parent: tc.Span, Name: "followerread",
-			Node: s.cfg.ID, Res: xtrace.CPU, Start: t0, End: end})
-	}
-	return &kv.ClientResponse{OK: true, Found: res.Found, Value: res.Value, Pairs: res.Pairs}
+	return s.readAt(co, m, rep.Index, "followerread", tc, confirm)
 }

@@ -131,15 +131,17 @@ func (s *Server) appendJudge(p string, pr *progress, last, term uint64) func(int
 // handleClientRequest services one client command on the leader.
 func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.Message) codec.Message {
 	m := req.(*kv.ClientRequest)
+	// Adopt the wire-propagated causal context: server-side pipeline
+	// spans parent under the client's RPC-attempt span.
+	var tc xtrace.Context
+	if s.trc != nil && m.TraceID != 0 {
+		tc = xtrace.Context{TraceID: m.TraceID, Span: m.TraceSpan, Sampled: m.TraceSampled}
+	}
 	if s.role != Leader {
 		// A hedged read may ask this replica to serve locally instead of
 		// bouncing: confirm a read index with the leader, then read here.
 		if m.FollowerRead && s.cfg.ReadIndex && s.role == Follower && m.Cmd.Op == kv.OpGet {
-			var ftc xtrace.Context
-			if s.trc != nil && m.TraceID != 0 {
-				ftc = xtrace.Context{TraceID: m.TraceID, Span: m.TraceSpan, Sampled: m.TraceSampled}
-			}
-			return s.followerRead(co, m, ftc)
+			return s.followerRead(co, m, tc)
 		}
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: s.leaderHint, Err: ErrNotLeader.Error()}
 	}
@@ -149,13 +151,6 @@ func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.
 		return &kv.ClientResponse{NotLeader: true, LeaderHint: s.transferTo, Err: ErrNotLeader.Error()}
 	}
 	s.e.Compute(leaderComputePerOp)
-	// Adopt the wire-propagated causal context: server-side pipeline
-	// spans parent under the client's RPC-attempt span.
-	var tc xtrace.Context
-	if s.trc != nil && m.TraceID != 0 {
-		tc = xtrace.Context{TraceID: m.TraceID, Span: m.TraceSpan, Sampled: m.TraceSampled}
-	}
-
 	if s.cfg.ReadIndex && m.Cmd.Op == kv.OpGet {
 		return s.readIndex(co, m, tc)
 	}
@@ -173,36 +168,49 @@ func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.
 // read locally. The leadership check is — again — a QuorumEvent, so a
 // slow follower cannot delay reads.
 func (s *Server) readIndex(co *core.Coroutine, m *kv.ClientRequest, tc xtrace.Context) codec.Message {
-	traced := s.trc != nil && tc.Active()
-	t0 := time.Now()
+	t0 := s.stamp(tc)
 	readIdx, leased, fail := s.confirmReadIndex(co)
 	if fail != nil {
 		return fail
 	}
-	quorumAt := time.Now()
-	if s.lastApplied < readIdx {
+	confirm := xtrace.Span{Name: "readindex.quorum", Node: s.cfg.ID, Start: t0, End: s.stamp(tc)}
+	if leased {
+		confirm.Name = "readindex.lease"
+	}
+	return s.readAt(co, m, readIdx, "readindex", tc, confirm)
+}
+
+// stamp reads the clock for a traced request only.
+func (s *Server) stamp(tc xtrace.Context) (t time.Time) {
+	if s.trc != nil && tc.Active() {
+		t = time.Now()
+	}
+	return t
+}
+
+// readAt ends a read whose index is confirmed: wait until the state
+// machine has applied idx, then read locally. A traced read (confirm
+// stamped) records op's root span over the confirm span and, past
+// traceNoise, the apply wait.
+func (s *Server) readAt(co *core.Coroutine, m *kv.ClientRequest, idx uint64, op string, tc xtrace.Context, confirm xtrace.Span) codec.Message {
+	if s.lastApplied < idx {
 		sig := core.NewSignalEvent()
-		s.appliedWaiters = append(s.appliedWaiters, appliedWaiter{idx: readIdx, sig: sig})
+		s.appliedWaiters = append(s.appliedWaiters, appliedWaiter{idx: idx, sig: sig})
 		if co.WaitFor(sig, commitTimeout) != core.WaitReady {
-			return &kv.ClientResponse{OK: false, Err: "readindex: apply lag"}
+			return &kv.ClientResponse{OK: false, Err: op + ": apply lag"}
 		}
 	}
 	res := s.sm.Store().Apply(m.Cmd)
-	if traced {
+	if !confirm.Start.IsZero() {
 		end := time.Now()
-		rootID := s.trc.NewSpanID()
-		confirm := "readindex.quorum"
-		if leased {
-			confirm = "readindex.lease"
+		confirm.Parent, confirm.Res = s.trc.NewSpanID(), xtrace.Net
+		s.trc.Record(tc, confirm)
+		if end.Sub(confirm.End) > traceNoise {
+			s.trc.Record(tc, xtrace.Span{Parent: confirm.Parent, Name: op + ".apply-wait",
+				Node: s.cfg.ID, Res: xtrace.Queue, Start: confirm.End, End: end})
 		}
-		s.trc.Record(tc, xtrace.Span{Parent: rootID, Name: confirm,
-			Node: s.cfg.ID, Res: xtrace.Net, Start: t0, End: quorumAt})
-		if end.Sub(quorumAt) > 500*time.Microsecond {
-			s.trc.Record(tc, xtrace.Span{Parent: rootID, Name: "readindex.apply-wait",
-				Node: s.cfg.ID, Res: xtrace.Queue, Start: quorumAt, End: end})
-		}
-		s.trc.Record(tc, xtrace.Span{ID: rootID, Parent: tc.Span, Name: "readindex",
-			Node: s.cfg.ID, Res: xtrace.CPU, Start: t0, End: end})
+		s.trc.Record(tc, xtrace.Span{ID: confirm.Parent, Parent: tc.Span, Name: op,
+			Node: s.cfg.ID, Res: xtrace.CPU, Start: confirm.Start, End: end})
 	}
 	return &kv.ClientResponse{OK: true, Found: res.Found, Value: res.Value, Pairs: res.Pairs}
 }

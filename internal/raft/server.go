@@ -725,3 +725,17 @@ func (s *Server) electionTimeout() time.Duration {
 	}
 	return min + time.Duration(s.rng.Int63n(int64(max-min)))
 }
+
+// firstElectionTimeout is the election ticker's first draw. A fresh
+// server (term 0 and an empty log, so no snapshot either: it never
+// persisted anything) has no leader to wait for, so its draw moves
+// down to start one heartbeat interval in: same width, same order of
+// candidates, and a live leader still has a heartbeat to be heard
+// (DESIGN.md "Bring-up").
+func (s *Server) firstElectionTimeout() time.Duration {
+	d, hb := s.electionTimeout(), s.cfg.HeartbeatInterval
+	if s.term == 0 && s.wal.LastIndex() == 0 && hb > 0 && hb < s.cfg.ElectionTimeoutMin {
+		d -= s.cfg.ElectionTimeoutMin - hb
+	}
+	return d
+}
